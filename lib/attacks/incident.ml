@@ -90,7 +90,7 @@ let run_key (sc : Scenario.t) mech flight =
 let raw_run (sc : Scenario.t) mech flight :
     Scenario.verdict * Interp.incident list =
   let payload =
-    Cache.incident ~key:(run_key sc mech flight) (fun () ->
+    Cache.memo Cache.incident (run_key sc mech flight) (fun () ->
         let rr = Scenario.run ~flight sc mech in
         Marshal.to_string
           ((rr.Scenario.verdict, rr.Scenario.outcome.Interp.incidents)

@@ -1,171 +1,103 @@
-(** The engine's content-keyed artifact cache.
+(** The engine's content-keyed artifact cache: one generic first-writer-
+    wins memo over typed stages.
 
-    Every pipeline stage up to instrumentation is a pure function of the
-    source text plus a small stage key, so its artifacts are memoized
-    under the MD5 digest of [file ^ "\x00" ^ source]:
+    Every pipeline stage is a pure function of the source text plus a
+    small stage key, so {!Pipeline} memoizes its artifacts under the MD5
+    digest {!source_key} of [file ^ "\x00" ^ source]. The stages, in
+    {!stage_stats} order, and their keys:
 
-    - [compiled]      key = digest
-    - [analysis]      key = digest (analysis is a function of the module)
-    - [points_to]     key = digest x precision mode (Andersen solve;
-                      [Cloning k] carries its k in the mode key)
-    - [scope]         key = digest x precision mode (scope-escape over
-                      the matching points-to solution)
-    - [elide]/[elide_pt] key = digest (the proof is a function of both)
-    - [elide_ctx]     key = digest x k (context-precision proof)
-    - [instrumented]  key = digest x (mechanism, elision mode)
-    - [validation]    key = digest x (mechanism, elision mode)
-    - [equiv]         key = digest x (mechanism, points-to mode option) —
-                      the attack-surface partition; [None] is the
-                      unconfined oracle model
-    - [outcome]       key = caller-assembled (digest x base-ISA prices x
-                      machine knobs) — attack-free runs only; the
-                      machine is deterministic, so the outcome is a pure
-                      function of that key up to the instrumentation
-                      prices, which a hit re-prices without
-                      re-simulating
+    {v
+    stage           key                                  value
+    compile         digest                               Ir.modul
+    analysis        digest                               Sti.Analysis.t
+    points_to       digest x Insensitive                 Points_to.t
+    points_to_cs    digest x Cloning k                   Points_to.t
+    scope_escape    digest x points-to mode              Scope_escape.t
+    elide           digest                               slot -> bool
+    elide_pt        digest                               slot -> bool
+    elide_ctx       digest x k                           slot -> bool
+    instrument      digest x (mechanism, elision mode)   Instrument.result
+    validate        digest x (mechanism, elision mode)   Validate.report
+    outcome         run key (digest x base-ISA prices    outcome x the cost
+                    x machine knobs)                     record it was priced
+                                                         under
+    attack_surface  digest x (mechanism, points-to       Equiv.result
+                    mode option)
+    incident        incident key (digest x mechanism     Marshal payload
+                    x flight capacity)
+    v}
 
-    This is what makes whole-bench runs cheap: the seed harness
-    recompiled and re-analyzed every SPEC kernel once per section (the
-    PA-cost ablation alone re-ran the frontend fifteen times per
-    workload); with the cache each artifact is built once per process.
+    A stage's compute resolves its dependencies from the stage values
+    {!Pipeline} already carries, so a hit never looks anything else up.
+    [outcome] holds attack-free runs only (attack closures are not part
+    of any key); its key leaves out the instrumentation prices, and a
+    hit under different ones is re-priced
+    ({!Rsti_machine.Interp.reprice}) instead of re-simulated.
+    [incident] holds [Rsti_attacks.Incident]'s serialized extraction of
+    an attack replay, which is deterministic like every other stage.
 
-    Domain safety: the table and each entry's fields are mutex-guarded,
-    so concurrent lookups are safe. Artifact values themselves
+    This is what makes whole-bench runs cheap: each artifact is built
+    once per process instead of once per bench section.
+
+    Domain safety: each stage's table is mutex-guarded, so concurrent
+    lookups are safe. Artifact values themselves
     ({!Rsti_sti.Analysis.t} in particular) answer some queries by
     memoizing internally, so the engine's parallel paths hand any given
     key's artifacts to one domain at a time (tasks are partitioned by
-    workload, and each workload owns its keys). Cache misses are computed
-    outside the lock; a duplicated computation under a racing miss is
-    benign because stages are deterministic. *)
+    workload, and each workload owns its keys). *)
 
 type stats = { hits : int; misses : int; duplicated : int }
 (** A lookup that found its artifact is a hit; one that computed and
     installed it is a miss; one that computed but lost the install race
     to a concurrent miss counts as a hit *and* a [duplicated]. Hits and
     misses therefore match the serial schedule for any job count, and
-    [duplicated] counts exactly the racing recomputations that the old
-    global pair silently misfiled as misses. *)
+    [duplicated] counts exactly the racing recomputations. *)
 
-val set_enabled : bool -> unit
-(** Default [true]. Disabling makes every accessor compute fresh
-    artifacts without touching the table (and without counting). *)
+type ('k, 'v) stage
+(** A named memo table from ['k] to ['v], with its own
+    [cache.<stage>.{hits,misses,duplicated}] counters in
+    {!Rsti_observe.Observe.Metrics}. *)
 
-val enabled : unit -> bool
+module PT := Rsti_dataflow.Points_to
+module RT := Rsti_sti.Rsti_type
+module Elide := Rsti_staticcheck.Elide
+
+val compile : (string, Rsti_ir.Ir.modul) stage
+val analysis : (string, Rsti_sti.Analysis.t) stage
+val points_to : (string * PT.mode, PT.t) stage
+val points_to_cs : (string * PT.mode, PT.t) stage
+val scope_escape : (string * PT.mode, Rsti_dataflow.Scope_escape.t) stage
+val elide : (string, Rsti_ir.Ir.slot -> bool) stage
+val elide_pt : (string, Rsti_ir.Ir.slot -> bool) stage
+val elide_ctx : (string * int, Rsti_ir.Ir.slot -> bool) stage
+
+val instrument :
+  (string * (RT.mechanism * Elide.mode), Rsti_rsti.Instrument.result) stage
+
+val validate :
+  (string * (RT.mechanism * Elide.mode), Rsti_dataflow.Validate.report) stage
+
+val outcome : (string, Rsti_machine.Interp.outcome * Rsti_machine.Cost.t) stage
+
+val attack_surface :
+  (string * (RT.mechanism * PT.mode option), Rsti_dataflow.Equiv.result) stage
+
+val incident : (string, string) stage
+
+val memo : ('k, 'v) stage -> 'k -> (unit -> 'v) -> 'v
+(** [memo stage key compute] returns the artifact stored under [key],
+    or runs [compute] (outside the lock) and installs its result. When
+    two domains miss the same key at once the first install wins and
+    every caller gets that value. *)
 
 val clear : unit -> unit
-(** Drop all entries and reset {!stats}. *)
+(** Drop every stage's artifacts and reset {!stats}. *)
 
 val stats : unit -> stats
 (** Aggregate over {!stage_stats}. *)
 
 val stage_stats : unit -> (string * stats) list
-(** Per-stage counts in pipeline order: compile, analysis, points_to,
-    points_to_cs, scope_escape, elide, elide_pt, elide_ctx, instrument,
-    validate, outcome, attack_surface, incident. The same counters back
-    the [cache.<stage>.{hits,misses,duplicated}] entries of
-    {!Rsti_observe.Observe.Metrics}. *)
+(** Per-stage counts in the order of the table above. *)
 
 val source_key : file:string -> string -> string
-(** The digest both the cache and {!Pipeline}'s run keys are built on. *)
-
-val compiled : file:string -> string -> Rsti_ir.Ir.modul
-(** [Lower.compile], memoized. *)
-
-val outcome :
-  key:string ->
-  (unit -> Rsti_machine.Interp.outcome * Rsti_machine.Cost.t) ->
-  Rsti_machine.Interp.outcome * Rsti_machine.Cost.t
-(** Memoize an attack-free run under a caller-assembled key.
-    {!Pipeline.run} / {!Pipeline.run_baseline} build the key from the
-    source digest, the base ISA prices, and every machine knob ([seed],
-    [fpac], [cfi], [backend], [entry]) — the instrumentation prices
-    ([pac], [strip], [pp], [pac_spill]) are deliberately left out of the
-    key, and the cost record the run actually priced under is stored
-    beside the outcome so a hit under different instrumentation prices
-    is re-priced ({!Rsti_machine.Interp.reprice}) instead of
-    re-simulated. Callers must bypass this for runs with attacks
-    installed — attack closures are not part of any key. *)
-
-val incident : key:string -> (unit -> string) -> string
-(** Memoize a serialized incident-extraction artifact (an opaque
-    marshalled payload — the incident types live above this library,
-    so the caller serializes) under a caller-assembled key. Attack replays are deterministic, so the
-    extraction is a pure function of (scenario, mechanism, flight
-    capacity) and memoizes like every other stage, under the
-    ["incident"] stage counters. *)
-
-val analysis : file:string -> string -> Rsti_sti.Analysis.t
-(** [Sti.Analysis.analyze] of {!compiled}, memoized. *)
-
-val points_to : file:string -> string -> Rsti_dataflow.Points_to.t
-(** The insensitive Andersen points-to analysis over {!compiled},
-    memoized — shorthand for {!points_to_mode} at [Insensitive]. *)
-
-val points_to_mode :
-  file:string ->
-  mode:Rsti_dataflow.Points_to.mode ->
-  string ->
-  Rsti_dataflow.Points_to.t
-(** The points-to solve at a chosen precision mode, memoized per mode
-    (each [Cloning k] is its own slot). *)
-
-val scope :
-  file:string ->
-  mode:Rsti_dataflow.Points_to.mode ->
-  string ->
-  Rsti_dataflow.Scope_escape.t
-(** The scope-escape analysis over {!points_to_mode} at the same mode,
-    memoized per mode. *)
-
-val elide : file:string -> string -> Rsti_ir.Ir.slot -> bool
-(** The static checker's syntactic elision proof ([Staticcheck.Elide])
-    over {!analysis}, memoized. *)
-
-val elide_pt : file:string -> string -> Rsti_ir.Ir.slot -> bool
-(** The elision proof at points-to precision: {!elide}'s obligations
-    discharged through {!points_to} confinement, memoized. *)
-
-val elide_ctx : file:string -> k:int -> string -> Rsti_ir.Ir.slot -> bool
-(** The elision proof at context precision: obligations discharged
-    through the [Cloning k] solution plus the scope-escape checker,
-    memoized per k. *)
-
-val elide_pred :
-  file:string ->
-  mode:Rsti_staticcheck.Elide.mode ->
-  string ->
-  (Rsti_ir.Ir.slot -> bool) option
-(** {!elide} / {!elide_pt} / {!elide_ctx} selected by elision mode;
-    [None] when [Off]. *)
-
-val instrumented :
-  file:string ->
-  elision:Rsti_staticcheck.Elide.mode ->
-  Rsti_sti.Rsti_type.mechanism ->
-  string ->
-  Rsti_rsti.Instrument.result
-(** [Rsti.Instrument.instrument] over {!analysis}, memoized per
-    (mechanism, elision mode) stage key. *)
-
-val validation :
-  file:string ->
-  elision:Rsti_staticcheck.Elide.mode ->
-  Rsti_sti.Rsti_type.mechanism ->
-  string ->
-  Rsti_dataflow.Validate.report
-(** The PAC-typestate validator's report over {!instrumented}, memoized
-    per (mechanism, elision mode) stage key. *)
-
-val equiv :
-  file:string ->
-  mode:Rsti_dataflow.Points_to.mode option ->
-  Rsti_sti.Rsti_type.mechanism ->
-  string ->
-  Rsti_dataflow.Equiv.result
-(** The substitution-attack-surface partition
-    ({!Rsti_dataflow.Equiv.analyze}) over {!analysis}, memoized per
-    (mechanism, points-to mode) stage key. [mode = None] computes the
-    paper's unconfined attacker model — the configuration the dynamic
-    oracle cross-validates; [Some m] refines feasibility with
-    {!points_to_mode} confinement and {!scope} escape results at that
-    precision. *)
+(** The digest every stage key is built on. *)

@@ -1,5 +1,6 @@
 module RT = Rsti_sti.Rsti_type
 module Elide = Rsti_staticcheck.Elide
+module PT = Rsti_dataflow.Points_to
 module Observe = Rsti_observe.Observe
 
 (* Stage spans carry just enough attrs to read a trace: the file for
@@ -33,7 +34,7 @@ let default =
 
 exception Validation_failed of Rsti_dataflow.Validate.report
 
-type source = { file : string; text : string }
+type source = { file : string; text : string; key : string }
 type compiled = { src : source; modul : Rsti_ir.Ir.modul }
 type analyzed = { comp : compiled; anal : Rsti_sti.Analysis.t }
 
@@ -44,17 +45,23 @@ type instrumented = {
   result : Rsti_rsti.Instrument.result;
 }
 
-let source ?(file = "<memory>.c") text = { file; text }
+let source ?(file = "<memory>.c") text =
+  { file; text; key = Cache.source_key ~file text }
 
-(* Each stage consults the cache exactly when [config.cache] is set; the
-   cache key is the stage value's source, so a stage value built with
-   cache off composes with later stages run with cache on. *)
+(* Each stage names its work once, as one compute closure, which runs
+   through the stage's memo when [config.cache] is set and directly when
+   it is not. Keys are built on the stage value's source digest and the
+   compute takes its inputs from the stage values themselves, so a hit
+   looks nothing else up, and a stage value built with the cache off
+   composes with later stages run with it on. *)
+let memo config stage key compute =
+  if config.cache then Cache.memo stage key compute else compute ()
 
 let compile ?(config = default) (s : source) =
   stage_span "pipeline.compile" (fun () -> [ ("file", s.file) ]) @@ fun () ->
   let modul =
-    if config.cache then Cache.compiled ~file:s.file s.text
-    else Rsti_ir.Lower.compile ~file:s.file s.text
+    memo config Cache.compile s.key (fun () ->
+        Rsti_ir.Lower.compile ~file:s.file s.text)
   in
   { src = s; modul }
 
@@ -62,42 +69,37 @@ let analyze ?(config = default) (c : compiled) =
   stage_span "pipeline.analyze" (fun () -> [ ("file", c.src.file) ])
   @@ fun () ->
   let anal =
-    if config.cache then Cache.analysis ~file:c.src.file c.src.text
-    else Rsti_sti.Analysis.analyze c.modul
+    memo config Cache.analysis c.src.key (fun () ->
+        Rsti_sti.Analysis.analyze c.modul)
   in
   { comp = c; anal }
 
-let points_to ?(config = default)
-    ?(mode = Rsti_dataflow.Points_to.Insensitive) (c : compiled) =
-  stage_span "pipeline.points_to"
-    (fun () ->
-      [
-        ("file", c.src.file);
-        ("mode", Rsti_dataflow.Points_to.mode_to_string mode);
-      ])
-  @@ fun () ->
-  if config.cache then Cache.points_to_mode ~file:c.src.file ~mode c.src.text
-  else Rsti_dataflow.Points_to.analyze ~mode c.modul
+let mode_span name (c : compiled) mode =
+  stage_span name (fun () ->
+      [ ("file", c.src.file); ("mode", PT.mode_to_string mode) ])
 
-let scope_escape ?(config = default)
-    ?(mode = Rsti_dataflow.Points_to.Insensitive) (c : compiled) =
-  stage_span "pipeline.scope_escape"
-    (fun () ->
-      [
-        ("file", c.src.file);
-        ("mode", Rsti_dataflow.Points_to.mode_to_string mode);
-      ])
-  @@ fun () ->
-  if config.cache then Cache.scope ~file:c.src.file ~mode c.src.text
-  else
-    Rsti_dataflow.Scope_escape.analyze
-      ~points_to:(Rsti_dataflow.Points_to.analyze ~mode c.modul)
-      c.modul
+(* The insensitive and cloned solves report under separate stages;
+   [Cloning k] carries its k in the key. *)
+let points_to ?(config = default) ?(mode = PT.Insensitive) (c : compiled) =
+  mode_span "pipeline.points_to" c mode @@ fun () ->
+  let stage =
+    match mode with
+    | PT.Insensitive -> Cache.points_to
+    | PT.Cloning _ -> Cache.points_to_cs
+  in
+  memo config stage (c.src.key, mode) (fun () -> PT.analyze ~mode c.modul)
+
+let scope_escape ?(config = default) ?(mode = PT.Insensitive) (c : compiled) =
+  mode_span "pipeline.scope_escape" c mode @@ fun () ->
+  memo config Cache.scope_escape (c.src.key, mode) (fun () ->
+      Rsti_dataflow.Scope_escape.analyze
+        ~points_to:(points_to ~config ~mode c)
+        c.modul)
 
 (* The static substitution-attack-surface partition for one mechanism.
    [mode = None] is the unconfined (oracle) attacker model; [Some m]
    refines feasibility with points-to confinement and scope escape at
-   that precision. Cached per (mechanism, mode). *)
+   that precision. *)
 let attack_surface ?(config = default) ?mode mech (a : analyzed) =
   stage_span "pipeline.attack_surface"
     (fun () ->
@@ -105,41 +107,41 @@ let attack_surface ?(config = default) ?mode mech (a : analyzed) =
         ("file", a.comp.src.file);
         ("mech", RT.mechanism_to_string mech);
         ( "mode",
-          match mode with
-          | None -> "oracle"
-          | Some m -> Rsti_dataflow.Points_to.mode_to_string m );
+          match mode with None -> "oracle" | Some m -> PT.mode_to_string m );
       ])
   @@ fun () ->
-  if config.cache then
-    Cache.equiv ~file:a.comp.src.file ~mode mech a.comp.src.text
-  else
-    match mode with
-    | None -> Rsti_dataflow.Equiv.analyze a.anal a.comp.modul mech
-    | Some pt_mode ->
-        let pt = points_to ~config ~mode:pt_mode a.comp in
-        let sc = scope_escape ~config ~mode:pt_mode a.comp in
-        Rsti_dataflow.Equiv.analyze ~points_to:pt ~scope:sc a.anal a.comp.modul
-          mech
+  memo config Cache.attack_surface (a.comp.src.key, (mech, mode)) (fun () ->
+      match mode with
+      | None -> Rsti_dataflow.Equiv.analyze a.anal a.comp.modul mech
+      | Some m ->
+          let pt = points_to ~config ~mode:m a.comp in
+          let sc = scope_escape ~config ~mode:m a.comp in
+          Rsti_dataflow.Equiv.analyze ~points_to:pt ~scope:sc a.anal
+            a.comp.modul mech)
 
-let elide_pred ?(config = default) ?(mode = Elide.Syntactic) (a : analyzed) =
+(* The elision proof at a precision; [Off] means "no predicate" and
+   instruments every candidate site. *)
+let elide_proof ~config mode (a : analyzed) =
+  let proof stage key deps =
+    Some
+      (memo config stage key (fun () ->
+           let points_to, scope = deps () in
+           Elide.elide (Elide.analyze ?points_to ?scope a.anal a.comp.modul)))
+  in
+  let key = a.comp.src.key in
   match mode with
-  | Elide.Off -> fun _ -> false
-  | Elide.Syntactic ->
-      if config.cache then Cache.elide ~file:a.comp.src.file a.comp.src.text
-      else Elide.elide (Elide.analyze a.anal a.comp.modul)
+  | Elide.Off -> None
+  | Elide.Syntactic -> proof Cache.elide key (fun () -> (None, None))
   | Elide.With_points_to ->
-      if config.cache then Cache.elide_pt ~file:a.comp.src.file a.comp.src.text
-      else
-        let pt = points_to ~config a.comp in
-        Elide.elide (Elide.analyze ~points_to:pt a.anal a.comp.modul)
+      proof Cache.elide_pt key (fun () -> (Some (points_to ~config a.comp), None))
   | Elide.With_context k ->
-      if config.cache then
-        Cache.elide_ctx ~file:a.comp.src.file ~k a.comp.src.text
-      else
-        let pmode = Rsti_dataflow.Points_to.Cloning k in
-        let pt = points_to ~config ~mode:pmode a.comp in
-        let scope = scope_escape ~config ~mode:pmode a.comp in
-        Elide.elide (Elide.analyze ~points_to:pt ~scope a.anal a.comp.modul)
+      proof Cache.elide_ctx (key, k) (fun () ->
+          let mode = PT.Cloning k in
+          let pt = points_to ~config ~mode a.comp in
+          (Some pt, Some (scope_escape ~config ~mode a.comp)))
+
+let elide_pred ?(config = default) ?(mode = Elide.Syntactic) a =
+  Option.value (elide_proof ~config mode a) ~default:(fun _ -> false)
 
 (* The PAC-typestate validator over an instrumented module: re-checks
    the rewriter's output against the signed-at-rest discipline. *)
@@ -149,11 +151,9 @@ let validation ?(config = default) (i : instrumented) =
     (fun () ->
       [ ("file", s.file); ("mech", RT.mechanism_to_string i.mech) ])
   @@ fun () ->
-  if config.cache then
-    Cache.validation ~file:s.file ~elision:i.elision i.mech s.text
-  else
-    Rsti_dataflow.Validate.check i.stage.anal i.mech
-      i.result.Rsti_rsti.Instrument.modul
+  memo config Cache.validate (s.key, (i.mech, i.elision)) (fun () ->
+      Rsti_dataflow.Validate.check i.stage.anal i.mech
+        i.result.Rsti_rsti.Instrument.modul)
 
 let instrument ?(config = default) mech (a : analyzed) =
   (* Parts/Nop model toolchains without the whole-program proof; the
@@ -170,11 +170,10 @@ let instrument ?(config = default) mech (a : analyzed) =
           ("elision", Elide.mode_to_string elision);
         ])
     @@ fun () ->
-    if config.cache then
-      Cache.instrumented ~file:a.comp.src.file ~elision mech a.comp.src.text
-    else
-      let pred = Elide.pred elision a.anal a.comp.modul in
-      Rsti_rsti.Instrument.instrument ?elide:pred mech a.anal a.comp.modul
+    memo config Cache.instrument (a.comp.src.key, (mech, elision)) (fun () ->
+        Rsti_rsti.Instrument.instrument
+          ?elide:(elide_proof ~config elision a)
+          mech a.anal a.comp.modul)
   in
   let i = { stage = a; mech; elision; result } in
   if config.validate then begin
@@ -211,15 +210,32 @@ let knobs_key ?seed ?fpac ?cfi ?backend ?entry () =
       Option.value entry ~default:"main";
     ]
 
-let cached_run ~key ~costs ~backend exec =
-  let o, priced = Cache.outcome ~key (fun () -> (exec (), costs)) in
-  if priced == costs || priced = costs then o
-  else begin
-    Observe.Metrics.incr c_reprices;
-    Rsti_machine.Interp.reprice ~from:priced ~to_:costs
-      ~pac_spill_charged:(backend <> Some `Shadow_mac)
-      o
-  end
+(* [prefix] names the run (source digest and machine knobs, and for
+   instrumented runs the mechanism and elision); the base prices are
+   appended here. A profiled outcome carries sites an unprofiled one
+   lacks; likewise a flight-recorded one carries incidents, so both are
+   part of the key. *)
+let memo_run ~config ~attacks ~backend ~profile ~flight prefix exec =
+  if attacks <> [] then exec ()
+  else
+    let costs = config.costs in
+    let key =
+      String.concat "|"
+        (prefix
+        @ [
+            cost_key costs;
+            (if profile then "prof" else "-");
+            (if flight > 0 then "fl" ^ string_of_int flight else "-");
+          ])
+    in
+    let o, priced = memo config Cache.outcome key (fun () -> (exec (), costs)) in
+    if priced == costs || priced = costs then o
+    else begin
+      Observe.Metrics.incr c_reprices;
+      Rsti_machine.Interp.reprice ~from:priced ~to_:costs
+        ~pac_spill_charged:(backend <> Some `Shadow_mac)
+        o
+    end
 
 let run ?(config = default) ?(attacks = []) ?seed ?fpac ?backend ?entry
     ?(profile = false) ?(flight = 0) (i : instrumented) =
@@ -230,64 +246,39 @@ let run ?(config = default) ?(attacks = []) ?seed ?fpac ?backend ?entry
         ("mech", RT.mechanism_to_string i.mech);
       ])
   @@ fun () ->
-  let exec () =
-    let vm =
-      Rsti_machine.Interp.create ~costs:config.costs ?seed ?fpac ?backend
-        ~profile ~flight
-        ~pp_table:i.result.Rsti_rsti.Instrument.pp_table
-        i.result.Rsti_rsti.Instrument.modul
-    in
-    Rsti_machine.Interp.run ~attacks ?entry vm
+  memo_run ~config ~attacks ~backend ~profile ~flight
+    [
+      "run";
+      i.stage.comp.src.key;
+      RT.mechanism_to_string i.mech;
+      Elide.mode_to_string i.elision;
+      knobs_key ?seed ?fpac ?backend ?entry ();
+    ]
+  @@ fun () ->
+  let vm =
+    Rsti_machine.Interp.create ~costs:config.costs ?seed ?fpac ?backend
+      ~profile ~flight
+      ~pp_table:i.result.Rsti_rsti.Instrument.pp_table
+      i.result.Rsti_rsti.Instrument.modul
   in
-  if (not config.cache) || attacks <> [] then exec ()
-  else
-    let s = i.stage.comp.src in
-    let key =
-      String.concat "|"
-        [
-          "run";
-          Cache.source_key ~file:s.file s.text;
-          RT.mechanism_to_string i.mech;
-          Elide.mode_to_string i.elision;
-          cost_key config.costs;
-          knobs_key ?seed ?fpac ?backend ?entry ();
-          (* a profiled outcome carries sites an unprofiled one lacks;
-             likewise a flight-recorded one carries incidents *)
-          (if profile then "prof" else "-");
-          (if flight > 0 then "fl" ^ string_of_int flight else "-");
-        ]
-    in
-    cached_run ~key ~costs:config.costs ~backend exec
+  Rsti_machine.Interp.run ~attacks ?entry vm
 
+(* An uninstrumented module executes no PA/xpac/pp instructions, so on
+   top of the key's price-blindness the whole PA-cost ablation shares
+   one baseline run per workload (re-pricing it is the identity: every
+   instrumentation counter is zero). *)
 let run_baseline ?(config = default) ?(attacks = []) ?seed ?fpac ?cfi ?backend
     ?entry ?(profile = false) ?(flight = 0) (c : compiled) =
   stage_span "pipeline.run_baseline" (fun () -> [ ("file", c.src.file) ])
   @@ fun () ->
-  let exec () =
-    let vm =
-      Rsti_machine.Interp.create ~costs:config.costs ?seed ?fpac ?cfi ?backend
-        ~profile ~flight c.modul
-    in
-    Rsti_machine.Interp.run ~attacks ?entry vm
+  memo_run ~config ~attacks ~backend ~profile ~flight
+    [ "base"; c.src.key; knobs_key ?seed ?fpac ?cfi ?backend ?entry () ]
+  @@ fun () ->
+  let vm =
+    Rsti_machine.Interp.create ~costs:config.costs ?seed ?fpac ?cfi ?backend
+      ~profile ~flight c.modul
   in
-  if (not config.cache) || attacks <> [] then exec ()
-  else
-    (* An uninstrumented module executes no PA/xpac/pp instructions, so
-       on top of the key's price-blindness the whole PA-cost ablation
-       shares one baseline run per workload (re-pricing it is the
-       identity: every instrumentation counter is zero). *)
-    let key =
-      String.concat "|"
-        [
-          "base";
-          Cache.source_key ~file:c.src.file c.src.text;
-          cost_key config.costs;
-          knobs_key ?seed ?fpac ?cfi ?backend ?entry ();
-          (if profile then "prof" else "-");
-          (if flight > 0 then "fl" ^ string_of_int flight else "-");
-        ]
-    in
-    cached_run ~key ~costs:config.costs ~backend exec
+  Rsti_machine.Interp.run ~attacks ?entry vm
 
 let file (s : source) = s.file
 let text (s : source) = s.text

@@ -14,9 +14,12 @@
     run time travels inside the {!instrumented} stage value, so {!run}
     wires it into the machine automatically.
 
-    Every stage is memoized in the content-keyed {!Cache} (switched by
-    [config.cache]); fan-out over workloads happens in {!Scheduler}.
-    Attack-free runs memoize too — the machine is deterministic, so an
+    Each stage's work is written once, as one compute over the stage
+    values it is given; with [config.cache] set it runs through the
+    stage's memo in the content-keyed {!Cache}, without it it runs
+    directly, so the cold and the cached path are the same chain.
+    Fan-out over workloads happens in {!Scheduler}. Attack-free runs
+    memoize too — the machine is deterministic, so an
     outcome is a pure function of the source digest, the cost record and
     the machine knobs. {!run}/{!run_baseline} key on the source digest,
     the base ISA prices and the knobs only: the instrumentation prices
@@ -42,7 +45,10 @@ type config = {
           rewriter broke the signed-at-rest discipline *)
   mechanisms : Rsti_sti.Rsti_type.mechanism list;
       (** the mechanism sweep {!instrument_all} expands *)
-  cache : bool;  (** consult/fill the artifact {!Cache} *)
+  cache : bool;
+      (** run every stage (and attack-free runs) through its {!Cache}
+          memo; [false] computes each one directly and leaves the cache
+          and its counters untouched *)
   jobs : int option;
       (** fan-out width for suite-level consumers; [None] defers to
           {!Scheduler.default_jobs} *)

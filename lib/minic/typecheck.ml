@@ -498,6 +498,36 @@ and check_block env (b : Ast.block) : Tast.tstmt list =
 (* Program                                                           *)
 (* ---------------------------------------------------------------- *)
 
+(* A struct that contains itself by value — directly, through another
+   struct, or through an array element — has no finite size; every
+   later layer that walks field layouts would recurse forever. Pointers
+   break the cycle, so [struct S { struct S *next; }] is fine. Runs
+   after every struct is registered, so mutual cycles are seen. *)
+let check_struct_cycles env prog =
+  let done_ = Hashtbl.create 16 in
+  let rec by_value = function
+    | Ctype.Const t | Ctype.Array (t, _) -> by_value t
+    | Ctype.Struct n -> [ n ]
+    | _ -> []
+  in
+  let rec visit loc path name =
+    if List.mem name path then
+      err loc "struct '%s' contains itself by value" name;
+    if not (Hashtbl.mem done_ name) then begin
+      (match Hashtbl.find_opt env.structs name with
+      | Some fields ->
+          List.iter
+            (fun (_, ty) -> List.iter (visit loc (name :: path)) (by_value ty))
+            fields
+      | None -> ());
+      Hashtbl.replace done_ name ()
+    end
+  in
+  List.iter
+    (function
+      | Ast.Gstruct sd -> visit sd.Ast.s_loc [] sd.Ast.s_name | _ -> ())
+    prog
+
 let check (prog : Ast.program) : Tast.program =
   let env =
     {
@@ -534,6 +564,7 @@ let check (prog : Ast.program) : Tast.program =
           Hashtbl.replace env.globals d.d_name v
       | Ast.Gextern (name, ty, _) -> Hashtbl.replace env.externs name ty)
     prog;
+  check_struct_cycles env prog;
   (* Pass 2: bodies and initializers. *)
   let globals = ref [] and funcs = ref [] in
   List.iter

@@ -14,8 +14,9 @@ type t = {
 
 val collect : ?config:Rsti_workloads.Run.config -> unit -> t
 (** Run everything (takes tens of seconds of simulation at one job;
-    [config.jobs] parallelizes, [config.cache] reuses compile/analysis
-    artifacts across sections). *)
+    [config.jobs] parallelizes). Every stage goes through the engine's
+    artifact cache, so later sections reuse these compiles, analyses and
+    runs. *)
 
 val of_mech : Rsti_workloads.Run.measurement list -> Rsti_sti.Rsti_type.mechanism ->
   Rsti_workloads.Run.measurement list

@@ -9,7 +9,6 @@ type config = {
   costs : Rsti_machine.Cost.t;
   elision : Rsti_staticcheck.Elide.mode;
   validate : bool;
-  cache : bool;
   jobs : int option;
 }
 
@@ -18,7 +17,6 @@ let default_config =
     costs = Rsti_machine.Cost.default;
     elision = Rsti_staticcheck.Elide.Off;
     validate = false;
-    cache = true;
     jobs = None;
   }
 
@@ -34,10 +32,10 @@ type measurement = {
 
 let pipeline_config ?(mechs = RT.all_mechanisms) (c : config) =
   {
-    Pipeline.costs = c.costs;
+    Pipeline.default with
+    costs = c.costs;
     elision = c.elision;
     validate = c.validate;
-    cache = c.cache;
     jobs = c.jobs;
     mechanisms = mechs;
   }

@@ -23,15 +23,14 @@ type config = {
       (** run the PAC-typestate validator over every instrumented module
           ({!Rsti_dataflow.Validate}); failures raise
           [Rsti_engine.Pipeline.Validation_failed] *)
-  cache : bool;  (** consult the engine's content-keyed artifact cache *)
   jobs : int option;
       (** fan-out width of {!measure_suite}; [None] defers to
           {!Rsti_engine.Scheduler.default_jobs} *)
 }
 
 val default_config : config
-(** [Cost.default], no elision, no validation, cache on, engine-default
-    jobs. *)
+(** [Cost.default], no elision, no validation, engine-default jobs.
+    Every stage goes through the engine's artifact cache. *)
 
 type measurement = {
   workload : Workload.t;

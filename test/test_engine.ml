@@ -87,28 +87,183 @@ let test_jobs_resolution_override () =
 
 (* ------------------------------- cache ------------------------------ *)
 
-(* A cached artifact must be indistinguishable from a fresh computation:
-   same static counts whether the pipeline runs cold, fills the cache, or
-   is served from it. *)
+module PT = Rsti_dataflow.Points_to
+module Elide = Rsti_staticcheck.Elide
+
+let bytes v = Marshal.to_string v [ Marshal.No_sharing ]
+let cache_mechs = [ RT.Stwc; RT.Stc; RT.Stl; RT.Parts ]
+
+let elisions =
+  [ Elide.Off; Elide.Syntactic; Elide.With_points_to; Elide.With_context 2 ]
+
+(* Every slot an elision verdict can be asked about: the named pointer
+   variables plus every member of each mechanism's class partition. *)
+let all_slots a =
+  let anal = Pipeline.analysis a and m = Pipeline.analyzed_ir a in
+  List.sort_uniq compare
+    (List.map
+       (fun (i : Rsti_sti.Analysis.slot_info) -> i.slot)
+       (Rsti_sti.Analysis.pointer_vars anal)
+    @ List.concat_map
+        (fun mech ->
+          List.concat_map
+            (fun (cl : Rsti_dataflow.Equiv.cls) ->
+              List.map
+                (fun (mb : Rsti_dataflow.Equiv.member) ->
+                  mb.mb_info.Rsti_sti.Analysis.slot)
+                cl.c_members)
+            (Rsti_dataflow.Equiv.analyze anal m mech).r_classes)
+        cache_mechs)
+
+(* The artifacts of each memoized stage, rendered to bytes so a cold
+   computation, the one that fills the cache and the one served from it
+   compare field for field. Each group runs on a cleared cache:
+   [Points_to.confinement] interns struct-field cells into the solution
+   it is given, so a cached solution's object table grows once a
+   confinement consumer (elision, attack surface) has run on it — a
+   known defect of the points-to layer that the elide-precision table's
+   object counts still depend on. *)
+let stage_groups :
+    (string
+    * (Pipeline.config -> Pipeline.compiled -> Pipeline.analyzed ->
+      (string * string) list))
+    list =
+  [
+    ( "points_to",
+      fun config c _ ->
+        List.map
+          (fun mode ->
+            let pt = Pipeline.points_to ~config ~mode c in
+            ( PT.mode_to_string mode,
+              bytes
+                ( PT.stats pt,
+                  List.map (fun o -> (o, PT.cell_contents pt o)) (PT.objects pt)
+                ) ))
+          [ PT.Insensitive; PT.Cloning 2 ] );
+    ( "scope_escape",
+      fun config c _ ->
+        List.map
+          (fun mode ->
+            let sc = Pipeline.scope_escape ~config ~mode c in
+            ( PT.mode_to_string mode,
+              bytes
+                ( Rsti_dataflow.Scope_escape.escapes sc,
+                  Rsti_dataflow.Scope_escape.stale_derefs sc,
+                  Rsti_dataflow.Scope_escape.stats sc ) ))
+          [ PT.Insensitive; PT.Cloning 2 ] );
+    ( "elide_pred",
+      fun config _ a ->
+        let slots = all_slots a in
+        List.map
+          (fun mode ->
+            ( Elide.mode_to_string mode,
+              bytes (List.map (Pipeline.elide_pred ~config ~mode a) slots) ))
+          elisions );
+    ( "attack_surface",
+      fun config _ a ->
+        List.concat_map
+          (fun mech ->
+            List.map
+              (fun mode ->
+                ( Printf.sprintf "%s %s"
+                    (RT.mechanism_to_string mech)
+                    (match mode with
+                    | None -> "oracle"
+                    | Some m -> PT.mode_to_string m),
+                  bytes (Pipeline.attack_surface ~config ?mode mech a) ))
+              [ None; Some (PT.Cloning 2) ])
+          cache_mechs );
+    ( "instrument+validation",
+      fun config _ a ->
+        List.concat_map
+          (fun elision ->
+            let config = { config with Pipeline.elision } in
+            List.concat_map
+              (fun mech ->
+                let i = Pipeline.instrument ~config mech a in
+                let r = Pipeline.result i in
+                let label =
+                  Printf.sprintf "%s %s"
+                    (RT.mechanism_to_string mech)
+                    (Elide.mode_to_string elision)
+                in
+                [
+                  ( "instrument " ^ label,
+                    bytes
+                      ( Rsti_ir.Ir.modul_to_string r.Rsti_rsti.Instrument.modul,
+                        r.Rsti_rsti.Instrument.pp_table,
+                        r.Rsti_rsti.Instrument.counts,
+                        r.Rsti_rsti.Instrument.per_func ) );
+                  ("validation " ^ label, bytes (Pipeline.validation ~config i));
+                ])
+              cache_mechs)
+          elisions );
+  ]
+
+(* A cached artifact must be indistinguishable from a fresh computation
+   at every memoized stage: the same bytes whether the pipeline runs
+   cold, fills the cache, or is served from it — for two kernels, all
+   four mechanisms and every elision precision. *)
 let test_cache_hit_identical () =
-  let w = List.hd Rsti_workloads.Nbench.all in
-  let counts ~cache mech =
-    let config = { Pipeline.default with Pipeline.cache } in
-    let src = Pipeline.source ~file:(w.Workload.name ^ ".c") w.Workload.source in
-    Pipeline.counts
-      (Pipeline.instrument ~config mech
-         (Pipeline.analyze ~config (Pipeline.compile ~config src)))
-  in
+  List.iter
+    (fun (w : Workload.t) ->
+      List.iter
+        (fun (group, artifacts) ->
+          let pass cache =
+            let config = { Pipeline.default with Pipeline.cache } in
+            let c =
+              Pipeline.compile ~config
+                (Pipeline.source ~file:(w.Workload.name ^ ".c") w.Workload.source)
+            in
+            artifacts config c (Pipeline.analyze ~config c)
+          in
+          let name what = Printf.sprintf "%s %s: %s" w.Workload.name group what in
+          Cache.clear ();
+          let cold = pass false in
+          let filling = pass true in
+          let before = Cache.stats () in
+          let served = pass true in
+          let after = Cache.stats () in
+          checkb (name "served pass hits") true
+            (after.Cache.hits > before.Cache.hits);
+          checki (name "no miss on the served pass") before.Cache.misses
+            after.Cache.misses;
+          List.iter2
+            (fun (label, c) ((_, f), (_, s)) ->
+              checkb (name ("cold = filling " ^ label)) true (c = f);
+              checkb (name ("filling = served " ^ label)) true (f = s))
+            cold
+            (List.combine filling served))
+        stage_groups)
+    [ List.hd Rsti_workloads.Nbench.all; List.hd Rsti_workloads.Spec2006.all ]
+
+(* Four domains miss the same key at once: the compute waits until all
+   four are inside it, so every lookup has missed before any install.
+   The first install wins; the three losers count as hits and
+   duplicated, and every caller gets the winner's value. *)
+let test_cache_racing_miss () =
   Cache.clear ();
-  let fresh = counts ~cache:false RT.Stwc in
-  let filling = counts ~cache:true RT.Stwc in
-  let before = Cache.stats () in
-  let served = counts ~cache:true RT.Stwc in
-  let after = Cache.stats () in
-  checkb "second cached call hits" true (after.Cache.hits > before.Cache.hits);
-  checkb "no extra miss on the hit" true (after.Cache.misses = before.Cache.misses);
-  checkb "cold = filling" true (fresh = filling);
-  checkb "filling = served" true (filling = served)
+  let n = 4 in
+  let entered = Atomic.make 0 in
+  let compute i () =
+    Atomic.incr entered;
+    while Atomic.get entered < n do
+      Domain.cpu_relax ()
+    done;
+    String.make 1 (Char.chr (Char.code 'a' + i))
+  in
+  let results =
+    List.map Domain.join
+      (List.init n (fun i ->
+           Domain.spawn (fun () -> Cache.memo Cache.incident "race" (compute i))))
+  in
+  let s = List.assoc "incident" (Cache.stage_stats ()) in
+  checki "one miss" 1 s.Cache.misses;
+  checki "three hits" (n - 1) s.Cache.hits;
+  checki "three duplicated" (n - 1) s.Cache.duplicated;
+  let winner = List.hd results in
+  checkb "every caller gets the winner" true
+    (List.for_all (fun r -> r == winner) results)
 
 (* Run keys omit the instrumentation prices: a hit under a different
    [pac] cost is re-priced from the outcome's counters instead of
@@ -152,15 +307,33 @@ let test_run_reprice_matches_simulation () =
         fresh_s.Rsti_machine.Interp.cycles cached_s.Rsti_machine.Interp.cycles)
     [ 3; 5; 9; 12 ]
 
+(* With [config.cache = false] every stage computes directly: a whole
+   chain leaves every per-stage counter at zero. *)
 let test_cache_disabled_bypasses_table () =
   Cache.clear ();
-  Cache.set_enabled false;
+  let config = { Pipeline.default with Pipeline.cache = false } in
   let w = List.hd Rsti_workloads.Nbench.all in
-  ignore (Cache.compiled ~file:"off.c" w.Workload.source);
-  let s = Cache.stats () in
-  Cache.set_enabled true;
-  checki "no hits recorded while disabled" 0 s.Cache.hits;
-  checki "no misses recorded while disabled" 0 s.Cache.misses
+  let c =
+    Pipeline.compile ~config (Pipeline.source ~file:"off.c" w.Workload.source)
+  in
+  let a = Pipeline.analyze ~config c in
+  let i =
+    Pipeline.instrument
+      ~config:{ config with Pipeline.elision = Rsti_staticcheck.Elide.With_context 2 }
+      RT.Stwc a
+  in
+  ignore (Pipeline.validation ~config i);
+  ignore
+    (Pipeline.attack_surface ~config
+       ~mode:(Rsti_dataflow.Points_to.Cloning 2) RT.Stwc a);
+  ignore (Pipeline.run ~config i);
+  ignore (Pipeline.run_baseline ~config c);
+  List.iter
+    (fun (stage, s) ->
+      checki (stage ^ " hits") 0 s.Cache.hits;
+      checki (stage ^ " misses") 0 s.Cache.misses;
+      checki (stage ^ " duplicated") 0 s.Cache.duplicated)
+    (Cache.stage_stats ())
 
 (* --------------------- serial vs parallel output -------------------- *)
 
@@ -211,6 +384,8 @@ let tests =
       test_jobs_resolution_override;
     Alcotest.test_case "cache: hit = fresh computation" `Quick
       test_cache_hit_identical;
+    Alcotest.test_case "cache: racing misses count one miss" `Quick
+      test_cache_racing_miss;
     Alcotest.test_case "cache: run re-pricing = fresh simulation" `Quick
       test_run_reprice_matches_simulation;
     Alcotest.test_case "cache: disabled bypasses table" `Quick

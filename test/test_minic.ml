@@ -297,6 +297,21 @@ let test_tc_field_resolution () =
   tc_fails "no field"
     "struct s { long a; };\nint main(void) { struct s x; x.a = 1; return x.b; }"
 
+(* By-value self-containment has no finite size; the frontend must reject
+   it instead of handing later layers an infinitely deep layout. *)
+let test_tc_struct_self_containment () =
+  tc_fails "contains itself by value"
+    "struct S { struct S s; };\nint main(void) { struct S x; return 0; }";
+  tc_fails "contains itself by value"
+    "struct A { long n; struct B b; };\nstruct B { struct A a; };\nint main(void) { return 0; }";
+  tc_fails "contains itself by value"
+    "struct T { struct T cells[2]; };\nint main(void) { return 0; }"
+
+let test_tc_struct_self_pointer_ok () =
+  ignore
+    (tc
+       "struct S { long v; struct S *next; };\nstruct U { struct S s[2]; struct U *up; };\nint main(void) { struct U u; u.s[0].next = NULL; return 0; }")
+
 let test_tc_unique_var_ids () =
   let p =
     tc "int f(int a) { int x = a; return x; }\nint g(int a) { int x = a; return x; }"
@@ -379,6 +394,8 @@ let tests =
     Alcotest.test_case "tc: return mismatch" `Quick test_tc_return_mismatch;
     Alcotest.test_case "tc: pointer arithmetic" `Quick test_tc_pointer_arith_types;
     Alcotest.test_case "tc: field resolution" `Quick test_tc_field_resolution;
+    Alcotest.test_case "tc: struct self-containment" `Quick test_tc_struct_self_containment;
+    Alcotest.test_case "tc: self-referential struct pointer" `Quick test_tc_struct_self_pointer_ok;
     Alcotest.test_case "tc: unique var ids" `Quick test_tc_unique_var_ids;
     Alcotest.test_case "tc: array decay" `Quick test_tc_array_decay_in_call;
     QCheck_alcotest.to_alcotest prop_generated_roundtrip;
