@@ -217,24 +217,70 @@ type attack = { trigger : trigger; action : intruder -> unit }
 (* Machine state                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Registers live in an unboxed frame: 8-byte slots, read and written in
+   place, register r at byte 8r. The constants a function uses (Imm,
+   Fimm, Null and the resolved Global/Funcaddr/Str addresses) get slots
+   after its registers, filled from the function's frame template, so
+   every compiled operand is a byte offset into the frame. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* A defined function; [code] is filled in by its first call on this
+   machine, so code that never runs is never compiled. *)
+type cfunc = { fn : Ir.func; mutable code : code option }
+
+and code = {
+  nregs : int;  (* register slots; arguments past them are dropped *)
+  template : Bytes.t;  (* zeroed registers, then the constant slots *)
+  blocks : cblock array;
+}
+
+and cblock = { instrs : (Bytes.t -> unit) array; term : cterm }
+
+and cterm =
+  | Cret of int  (* offset of the returned slot; -1 returns 0 *)
+  | Cbr of int
+  | Ccondbr of int * int * int
+  | Cfail of bool * exn  (* raise; after a branch step when [true] *)
+
+(* A PAC modifier with its slot-address operand resolved; [Mbad] keeps
+   the resolution failure for the moment the modifier is evaluated. *)
+type cmod = Mc of int64 | Ml of int64 * int | Mbad of int64 * exn
+
+type cpac = {
+  kind : Ir.pac_kind;
+  dst : int;
+  src : int;
+  key : Rsti_pa.Key.which;
+  md : cmod;
+  md_from : cmod;  (* Kresign only *)
+  slot : int;  (* the slot address, read by the [`Shadow_mac] backend only *)
+}
+
+type cpp =
+  | Cpp_add
+  | Cpp_sign of { dst : int; src : int; ce : int; slot : int }
+  | Cpp_auth of { dst : int; src : int; slot : int }
+  | Cpp_add_tbi of { dst : int; src : int; ce : int }
+
 type t = {
   m : Ir.modul;
   mem : Memory.t;
   pac : Rsti_pa.Pac.ctx;
   costs : Cost.t;
-  funcs_by_name : (string, Ir.func) Hashtbl.t;
+  funcs_by_name : (string, cfunc) Hashtbl.t;
   func_addrs : (string, int64) Hashtbl.t;    (* defined + libc *)
-  code_map : (int64, [ `Defined of Ir.func | `Libc of string ]) Hashtbl.t;
+  code_map : (int64, [ `Defined of cfunc | `Libc of string ]) Hashtbl.t;
   global_addrs : (string, int64) Hashtbl.t;
   string_addrs : int64 array;
   mutable heap_ptr : int64;
   mutable allocs : (int64 * int) list;
-  mutable sp : int64;
+  mutable sp : int;  (* stack addresses are canonical, so they fit an int *)
+  mutable stack_mapped : int;  (* every stack page from here up is mapped *)
   mutable cycles : int;
   counts : counts;
   mutable events : event list;  (* reverse *)
   out : Buffer.t;
-  mutable steps : int;
   mutable step_limit : int;
   mutable auth_failed : bool;   (* any auth failure so far *)
   mutable call_counts : (string, int) Hashtbl.t;
@@ -325,9 +371,10 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
   List.iteri
     (fun i (f : Ir.func) ->
       let addr = Layout.code_addr_of_index Layout.text_base i in
-      Hashtbl.replace funcs_by_name f.name f;
+      let cf = { fn = f; code = None } in
+      Hashtbl.replace funcs_by_name f.name cf;
       Hashtbl.replace func_addrs f.name addr;
-      Hashtbl.replace code_map addr (`Defined f))
+      Hashtbl.replace code_map addr (`Defined cf))
     m.m_funcs;
   (* Externs and built-ins live in the simulated libc. *)
   let libc_syms =
@@ -399,14 +446,14 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
     string_addrs;
     heap_ptr = Layout.heap_base;
     allocs = [];
-    sp = Layout.stack_top;
+    sp = Int64.to_int Layout.stack_top;
+    stack_mapped = Int64.to_int Layout.stack_top;
     cycles = 0;
     counts =
       { instrs = 0; loads = 0; stores = 0; pac_signs = 0; pac_auths = 0;
         pac_strips = 0; pp_calls = 0; pac_charges = 0 };
     events = [];
     out = Buffer.create 256;
-    steps = 0;
     step_limit = 200_000_000;
     auth_failed = false;
     call_counts = Hashtbl.create 16;
@@ -490,31 +537,30 @@ let fire_attacks t trig =
 (* Value and memory helpers                                            *)
 (* ------------------------------------------------------------------ *)
 
-let charge t c =
+let[@inline] charge t c =
   t.cycles <- t.cycles + c;
   if t.profiling then t.cur_site.s_cycles <- t.cur_site.s_cycles + c
 
-let step t =
-  t.steps <- t.steps + 1;
-  t.counts.instrs <- t.counts.instrs + 1;
+let[@inline] step t =
+  let c = t.counts in
+  c.instrs <- c.instrs + 1;
   if t.profiling then t.cur_site.s_instrs <- t.cur_site.s_instrs + 1;
-  if t.steps > t.step_limit then raise (Trap_exn Step_limit_exceeded)
+  if c.instrs > t.step_limit then raise (Trap_exn Step_limit_exceeded)
 
 (* Site switching, called (under [profiling] only) before each
    instruction executes: terminator and call-dispatch charges attribute
    to the site of the last instruction that ran, which keeps the
    partition exact without threading a site through every helper. *)
-let set_site t (fn : Ir.func) (ins : Ir.instr) =
-  let line = match ins.dbg with Some d -> d.Rsti_ir.Dinfo.dl_line | None -> 0 in
+let set_site t fname line =
   let cur = t.cur_site in
-  if not (cur.s_func == fn.name && cur.s_line = line) then
-    let key = (fn.name, line) in
+  if not (cur.s_func == fname && cur.s_line = line) then
+    let key = (fname, line) in
     match Hashtbl.find_opt t.prof_sites key with
     | Some s -> t.cur_site <- s
     | None ->
         let s =
           {
-            s_func = fn.name;
+            s_func = fname;
             s_line = line;
             s_cycles = 0;
             s_instrs = 0;
@@ -542,8 +588,7 @@ let prof_pp t =
 
 (* The modifier constant an instruction carries, before the runtime
    slot-address XOR: the static Equiv class identity. *)
-let static_modifier (m : Ir.modifier) =
-  match m with Ir.Mconst c | Ir.Mloc c -> c
+let mstatic = function Mc c | Ml (c, _) | Mbad (c, _) -> c
 
 let op_kind_to_string = function
   | Op_sign -> "sign"
@@ -609,31 +654,10 @@ let record_incident t ~func ~key ~static_mod ~modifier ~ptr =
   in
   t.incidents <- inc :: t.incidents
 
-let guard_mem t func f =
-  try f ()
-  with Memory.Fault fault ->
-    raise
-      (Trap_exn
-         (Mem_fault
-            {
-              fault = Memory.fault_to_string fault;
-              func;
-              after_auth_fail = t.auth_failed;
-            }))
-
-(* Loads and stores honour the C type's width: char is one byte,
-   everything else a 64-bit word. *)
-let load_typed t func ty addr =
-  guard_mem t func (fun () ->
-      match Ctype.strip_const ty with
-      | Ctype.Char -> Int64.of_int (Memory.read_u8 t.mem addr)
-      | _ -> Memory.read_u64 t.mem addr)
-
-let store_typed t func ty addr v =
-  guard_mem t func (fun () ->
-      match Ctype.strip_const ty with
-      | Ctype.Char -> Memory.write_u8 t.mem addr (Int64.to_int (Int64.logand v 0xFFL))
-      | _ -> Memory.write_u64 t.mem addr v)
+let mem_fault t func fault =
+  Trap_exn
+    (Mem_fault
+       { fault = Memory.fault_to_string fault; func; after_auth_fail = t.auth_failed })
 
 let malloc t size =
   if size < 0 || size > 0x1000000 then 0L (* 16 MiB cap: huge requests fail *)
@@ -645,6 +669,9 @@ let malloc t size =
   t.allocs <- (addr, size) :: t.allocs;
   addr
   end
+
+(* A C [size_t] argument: a negative or oversized count is a huge one. *)
+let size_t v = if v < 0L || v > Int64.of_int max_int then max_int else Int64.to_int v
 
 (* ------------------------------------------------------------------ *)
 (* printf                                                              *)
@@ -690,6 +717,76 @@ let format_printf t fmt args =
   done;
   Buffer.contents buf
 
+let stack_limit = Int64.to_int Layout.stack_limit
+
+(* Loads and stores honour the C type's width: char is one byte,
+   everything else a 64-bit word. *)
+let is_char ty = match Ctype.strip_const ty with Ctype.Char -> true | _ -> false
+
+(* What every instruction does before its own work. *)
+let[@inline] enter t fname line =
+  if t.profiling then set_site t fname line;
+  if t.recording then t.cur_line <- line;
+  step t
+
+(* An instruction that computes one value and cannot trap. *)
+let[@inline] arith t fname line cost fr d v =
+  enter t fname line;
+  charge t cost;
+  set64 fr d v
+
+let[@inline] result fr d v = if d >= 0 then set64 fr d v
+
+let arg_list fr offs = List.init (Array.length offs) (fun i -> get64 fr offs.(i))
+
+let modv fr = function
+  | Mc c -> c
+  | Ml (c, o) -> Int64.logxor c (get64 fr o)
+  | Mbad (_, e) -> raise e
+
+let[@inline always] binop_int op a b fname =
+  match op with
+  | Ast.Add -> Int64.add a b
+  | Ast.Sub -> Int64.sub a b
+  | Ast.Mul -> Int64.mul a b
+  | Ast.Div ->
+      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.div a b
+  | Ast.Mod ->
+      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.rem a b
+  | Ast.Eq -> if Int64.equal a b then 1L else 0L
+  | Ast.Ne -> if Int64.equal a b then 0L else 1L
+  | Ast.Lt -> if Int64.compare a b < 0 then 1L else 0L
+  | Ast.Le -> if Int64.compare a b <= 0 then 1L else 0L
+  | Ast.Gt -> if Int64.compare a b > 0 then 1L else 0L
+  | Ast.Ge -> if Int64.compare a b >= 0 then 1L else 0L
+  | Ast.Bitand -> Int64.logand a b
+  | Ast.Bitor -> Int64.logor a b
+  | Ast.Bitxor -> Int64.logxor a b
+  | Ast.Shl -> Int64.shift_left a (Int64.to_int b land 63)
+  | Ast.Shr -> Int64.shift_right a (Int64.to_int b land 63)
+  | Ast.Logand -> if a <> 0L && b <> 0L then 1L else 0L
+  | Ast.Logor -> if a <> 0L || b <> 0L then 1L else 0L
+
+let[@inline always] binop_float op a b fname =
+  let x = Int64.float_of_bits a and y = Int64.float_of_bits b in
+  let bool v = if v then 1L else 0L in
+  match op with
+  | Ast.Add -> Int64.bits_of_float (x +. y)
+  | Ast.Sub -> Int64.bits_of_float (x -. y)
+  | Ast.Mul -> Int64.bits_of_float (x *. y)
+  | Ast.Div -> Int64.bits_of_float (x /. y)
+  | Ast.Mod -> Int64.bits_of_float (Float.rem x y)
+  | Ast.Eq -> bool (x = y)
+  | Ast.Ne -> bool (x <> y)
+  | Ast.Lt -> bool (x < y)
+  | Ast.Le -> bool (x <= y)
+  | Ast.Gt -> bool (x > y)
+  | Ast.Ge -> bool (x >= y)
+  | Ast.Bitand | Ast.Bitor | Ast.Bitxor | Ast.Shl | Ast.Shr | Ast.Logand
+  | Ast.Logor ->
+      ignore fname;
+      binop_int op a b fname
+
 (* ------------------------------------------------------------------ *)
 (* Builtins (the simulated libc)                                       *)
 (* ------------------------------------------------------------------ *)
@@ -698,7 +795,10 @@ let rec run_builtin t name (args : int64 list) : int64 =
   let n = bump t t.extern_counts name in
   emit_event t (Ev_extern (name, args));
   charge t t.costs.extern_call;
-  let result = run_builtin_body t name args in
+  let result =
+    try run_builtin_body t name args
+    with Memory.Fault fault -> raise (mem_fault t name fault)
+  in
   (* Hooks fire after the call completes, so "on the nth malloc" sees the
      allocation it corrupts. *)
   fire_attacks t (On_extern (name, n));
@@ -736,7 +836,7 @@ and run_builtin_body t name (args : int64 list) : int64 =
   | "strcmp" -> Int64.of_int (compare (sarg 0) (sarg 1))
   | "strncmp" ->
       let cap s n = if String.length s > n then String.sub s 0 n else s in
-      let n = Int64.to_int (arg 2) in
+      let n = size_t (arg 2) in
       Int64.of_int (compare (cap (sarg 0) n) (cap (sarg 1) n))
   | "strcpy" ->
       (* Deliberately unsafe, like the real thing: this is the classic
@@ -744,7 +844,7 @@ and run_builtin_body t name (args : int64 list) : int64 =
       Memory.write_cstring t.mem (arg 0) (sarg 1);
       arg 0
   | "strncpy" ->
-      let s = sarg 1 and n = Int64.to_int (arg 2) in
+      let s = sarg 1 and n = size_t (arg 2) in
       let s = if String.length s > n then String.sub s 0 n else s in
       Memory.write_cstring t.mem (arg 0) s;
       arg 0
@@ -754,13 +854,13 @@ and run_builtin_body t name (args : int64 list) : int64 =
         (sarg 1);
       arg 0
   | "memcpy" | "memmove" ->
-      let n = Int64.to_int (arg 2) in
+      let n = size_t (arg 2) in
       let b = Memory.read_bytes t.mem (arg 1) n in
       Memory.write_bytes t.mem (arg 0) b;
       arg 0
   | "memset" ->
       let v = Int64.to_int (Int64.logand (arg 1) 0xFFL) in
-      let n = Int64.to_int (arg 2) in
+      let n = size_t (arg 2) in
       for i = 0 to n - 1 do
         Memory.write_u8 t.mem (Int64.add (arg 0) (Int64.of_int i)) v
       done;
@@ -813,7 +913,7 @@ and run_builtin_body t name (args : int64 list) : int64 =
       let cmp_ptr = arg 3 in
       let call_cmp a b =
         match Hashtbl.find_opt t.code_map cmp_ptr with
-        | Some (`Defined f) -> call_function t f [ a; b ]
+        | Some (`Defined cf) -> call_list t cf [ a; b ]
         | Some (`Libc nm) -> run_builtin t nm [ a; b ]
         | None ->
             raise
@@ -861,47 +961,32 @@ and run_builtin_body t name (args : int64 list) : int64 =
 (* Instruction execution                                               *)
 (* ------------------------------------------------------------------ *)
 
-and eval t (regs : int64 array) (v : Ir.value) : int64 =
-  match v with
-  | Ir.Imm n -> n
-  | Ir.Fimm x -> Int64.bits_of_float x
-  | Ir.Reg r -> regs.(r)
-  | Ir.Global g -> global_addr t g
-  | Ir.Funcaddr f -> func_addr t f
-  | Ir.Str i -> t.string_addrs.(i)
-  | Ir.Null -> 0L
-
-and modifier_value t regs (m : Ir.modifier) (slot_addr : Ir.value) : int64 =
-  match m with
-  | Ir.Mconst c -> c
-  | Ir.Mloc c -> Int64.logxor c (eval t regs slot_addr)
-
 and mac_of t key ~modifier value =
   Rsti_pa.Qarma.encrypt
     ~key:(Rsti_pa.Key.lookup (Rsti_pa.Pac.keys t.pac) key)
     ~tweak:modifier value
 
-and exec_shadow_mac t fname regs (p : Ir.pac) =
+and exec_shadow_mac t fname fr (p : cpac) =
   (* section 7: the same scope-type modifiers enforced through a
      CCFI-style MAC stored beside the object instead of in pointer bits.
      Pointers stay raw; each op pays the MAC plus a shadow access. *)
-  let src = eval t regs p.p_src in
-  let m = modifier_value t regs p.p_mod p.p_slot_addr in
-  let slot = eval t regs p.p_slot_addr in
-  match p.p_kind with
+  let src = get64 fr p.src in
+  let m = modv fr p.md in
+  let slot = get64 fr p.slot in
+  match p.kind with
   | Ir.Ksign ->
       charge t (t.costs.pac + t.costs.load + t.costs.store);
       t.counts.pac_signs <- t.counts.pac_signs + 1;
       t.counts.pac_charges <- t.counts.pac_charges + 1;
       prof_pac t 1;
       if Int64.equal src 0L then Hashtbl.remove t.shadow slot
-      else Hashtbl.replace t.shadow slot (mac_of t p.p_key ~modifier:m src);
+      else Hashtbl.replace t.shadow slot (mac_of t p.key ~modifier:m src);
       if t.recording then
         ignore
-          (record_op t ~kind:Op_sign ~func:fname ~key:p.p_key
-             ~static_mod:(static_modifier p.p_mod) ~modifier:m ~src ~result:src
+          (record_op t ~kind:Op_sign ~func:fname ~key:p.key
+             ~static_mod:(mstatic p.md) ~modifier:m ~src ~result:src
              ~ok:true);
-      regs.(p.p_dst) <- src
+      set64 fr p.dst src
   | Ir.Kauth ->
       charge t (t.costs.pac + t.costs.load);
       t.counts.pac_auths <- t.counts.pac_auths + 1;
@@ -911,31 +996,31 @@ and exec_shadow_mac t fname regs (p : Ir.pac) =
         if Int64.equal src 0L then not (Hashtbl.mem t.shadow slot)
         else
           match Hashtbl.find_opt t.shadow slot with
-          | Some expected -> Int64.equal expected (mac_of t p.p_key ~modifier:m src)
+          | Some expected -> Int64.equal expected (mac_of t p.key ~modifier:m src)
           | None -> false
       in
       if ok then begin
         if t.recording then
           ignore
-            (record_op t ~kind:Op_auth ~func:fname ~key:p.p_key
-               ~static_mod:(static_modifier p.p_mod) ~modifier:m ~src
+            (record_op t ~kind:Op_auth ~func:fname ~key:p.key
+               ~static_mod:(mstatic p.md) ~modifier:m ~src
                ~result:src ~ok:true);
-        regs.(p.p_dst) <- src
+        set64 fr p.dst src
       end
       else begin
         t.auth_failed <- true;
         emit_event t (Ev_auth_fail { func = fname; modifier = m; ptr = src });
         if t.recording then begin
           ignore
-            (record_op t ~kind:Op_auth ~func:fname ~key:p.p_key
-               ~static_mod:(static_modifier p.p_mod) ~modifier:m ~src
+            (record_op t ~kind:Op_auth ~func:fname ~key:p.key
+               ~static_mod:(mstatic p.md) ~modifier:m ~src
                ~result:src ~ok:false);
-          record_incident t ~func:fname ~key:p.p_key
-            ~static_mod:(static_modifier p.p_mod) ~modifier:m ~ptr:src
+          record_incident t ~func:fname ~key:p.key
+            ~static_mod:(mstatic p.md) ~modifier:m ~ptr:src
         end;
         if t.fpac then
           raise (Trap_exn (Pac_auth_failure { func = fname; modifier = m; ptr = src }));
-        regs.(p.p_dst) <- Rsti_pa.Vaddr.corrupt (Rsti_pa.Pac.layout t.pac) src
+        set64 fr p.dst (Rsti_pa.Vaddr.corrupt (Rsti_pa.Pac.layout t.pac) src)
       end
   | Ir.Kresign ->
       (* casts carry no per-slot state under the shadow backend *)
@@ -946,26 +1031,24 @@ and exec_shadow_mac t fname regs (p : Ir.pac) =
       prof_pac t 2;
       if t.recording then
         ignore
-          (record_op t ~kind:Op_resign ~func:fname ~key:p.p_key
-             ~static_mod:(static_modifier p.p_mod) ~modifier:m ~src ~result:src
+          (record_op t ~kind:Op_resign ~func:fname ~key:p.key
+             ~static_mod:(mstatic p.md) ~modifier:m ~src ~result:src
              ~ok:true);
-      regs.(p.p_dst) <- src
+      set64 fr p.dst src
   | Ir.Kstrip ->
       charge t t.costs.strip;
       t.counts.pac_strips <- t.counts.pac_strips + 1;
       prof_strip t;
       if t.recording then
         ignore
-          (record_op t ~kind:Op_strip ~func:fname ~key:p.p_key
-             ~static_mod:(static_modifier p.p_mod)
-             ~modifier:(static_modifier p.p_mod) ~src ~result:src ~ok:true);
-      regs.(p.p_dst) <- src
+          (record_op t ~kind:Op_strip ~func:fname ~key:p.key
+             ~static_mod:(mstatic p.md)
+             ~modifier:(mstatic p.md) ~src ~result:src ~ok:true);
+      set64 fr p.dst src
 
-and exec_pac t fname regs (p : Ir.pac) =
-  if t.backend = `Shadow_mac then exec_shadow_mac t fname regs p
-  else begin
-  let src = eval t regs p.p_src in
-  let key = p.p_key in
+and exec_pac t fname fr (p : cpac) =
+  let src = get64 fr p.src in
+  let key = p.key in
   let record_fail ~kind ~static_mod ~result modifier ptr =
     t.auth_failed <- true;
     emit_event t (Ev_auth_fail { func = fname; modifier; ptr });
@@ -981,38 +1064,38 @@ and exec_pac t fname regs (p : Ir.pac) =
     if t.fpac then
       raise (Trap_exn (Pac_auth_failure { func = fname; modifier; ptr }))
   in
-  match p.p_kind with
+  match p.kind with
   | Ir.Ksign ->
       charge t (t.costs.pac + t.costs.pac_spill);
       t.counts.pac_signs <- t.counts.pac_signs + 1;
       t.counts.pac_charges <- t.counts.pac_charges + 1;
       prof_pac t 1;
-      let m = modifier_value t regs p.p_mod p.p_slot_addr in
+      let m = modv fr p.md in
       let signed = Rsti_pa.Pac.sign t.pac ~key ~modifier:m src in
       if t.recording then
         ignore
           (record_op t ~kind:Op_sign ~func:fname ~key
-             ~static_mod:(static_modifier p.p_mod) ~modifier:m ~src
+             ~static_mod:(mstatic p.md) ~modifier:m ~src
              ~result:signed ~ok:true);
-      regs.(p.p_dst) <- signed
+      set64 fr p.dst signed
   | Ir.Kauth -> (
       charge t (t.costs.pac + t.costs.pac_spill);
       t.counts.pac_auths <- t.counts.pac_auths + 1;
       t.counts.pac_charges <- t.counts.pac_charges + 1;
       prof_pac t 1;
-      let m = modifier_value t regs p.p_mod p.p_slot_addr in
+      let m = modv fr p.md in
       match Rsti_pa.Pac.auth t.pac ~key ~modifier:m src with
       | Ok v ->
           if t.recording then
             ignore
               (record_op t ~kind:Op_auth ~func:fname ~key
-                 ~static_mod:(static_modifier p.p_mod) ~modifier:m ~src
+                 ~static_mod:(mstatic p.md) ~modifier:m ~src
                  ~result:v ~ok:true);
-          regs.(p.p_dst) <- v
+          set64 fr p.dst v
       | Error corrupted ->
-          record_fail ~kind:Op_auth ~static_mod:(static_modifier p.p_mod)
+          record_fail ~kind:Op_auth ~static_mod:(mstatic p.md)
             ~result:corrupted m src;
-          regs.(p.p_dst) <- corrupted)
+          set64 fr p.dst corrupted)
   | Ir.Kresign -> (
       charge t (2 * (t.costs.pac + t.costs.pac_spill));
       t.counts.pac_auths <- t.counts.pac_auths + 1;
@@ -1026,28 +1109,28 @@ and exec_pac t fname regs (p : Ir.pac) =
         if t.recording then
           ignore
             (record_op t ~kind:Op_resign ~func:fname ~key
-               ~static_mod:(static_modifier p.p_mod)
-               ~modifier:(modifier_value t regs p.p_mod p.p_slot_addr)
+               ~static_mod:(mstatic p.md)
+               ~modifier:(modv fr p.md)
                ~src ~result:src ~ok:true);
-        regs.(p.p_dst) <- src
+        set64 fr p.dst src
       end
       else begin
-        let mf = modifier_value t regs p.p_mod_from p.p_slot_addr in
-        let mt = modifier_value t regs p.p_mod p.p_slot_addr in
+        let mf = modv fr p.md_from in
+        let mt = modv fr p.md in
         match Rsti_pa.Pac.auth t.pac ~key ~modifier:mf src with
         | Ok v ->
             let resigned = Rsti_pa.Pac.sign t.pac ~key ~modifier:mt v in
             if t.recording then
               ignore
                 (record_op t ~kind:Op_resign ~func:fname ~key
-                   ~static_mod:(static_modifier p.p_mod) ~modifier:mt ~src
+                   ~static_mod:(mstatic p.md) ~modifier:mt ~src
                    ~result:resigned ~ok:true);
-            regs.(p.p_dst) <- resigned
+            set64 fr p.dst resigned
         | Error corrupted ->
             record_fail ~kind:Op_resign
-              ~static_mod:(static_modifier p.p_mod_from) ~result:corrupted mf
+              ~static_mod:(mstatic p.md_from) ~result:corrupted mf
               src;
-            regs.(p.p_dst) <- corrupted
+            set64 fr p.dst corrupted
       end)
   | Ir.Kstrip ->
       charge t t.costs.strip;
@@ -1057,13 +1140,12 @@ and exec_pac t fname regs (p : Ir.pac) =
       if t.recording then
         ignore
           (record_op t ~kind:Op_strip ~func:fname ~key
-             ~static_mod:(static_modifier p.p_mod)
-             ~modifier:(static_modifier p.p_mod) ~src ~result:stripped
+             ~static_mod:(mstatic p.md)
+             ~modifier:(mstatic p.md) ~src ~result:stripped
              ~ok:true);
-      regs.(p.p_dst) <- stripped
-  end
+      set64 fr p.dst stripped
 
-and exec_pp t fname regs (pp : Ir.pp_call) =
+and exec_pp t fname fr pp =
   charge t t.costs.pp;
   t.counts.pp_calls <- t.counts.pp_calls + 1;
   prof_pp t;
@@ -1071,28 +1153,28 @@ and exec_pp t fname regs (pp : Ir.pp_call) =
     Memory.read_u64 t.mem (Int64.add pp_meta_base (Int64.of_int (ce * 8)))
   in
   match pp with
-  | Ir.Pp_add _ -> () (* table is static in our model; cost only *)
-  | Ir.Pp_sign { dst; src; ce; slot_addr } ->
+  | Cpp_add -> () (* table is static in our model; cost only *)
+  | Cpp_sign { dst; src; ce; slot } ->
       let fe = fe_modifier ce in
-      let m = Int64.logxor fe (eval t regs slot_addr) in
+      let m = Int64.logxor fe (get64 fr slot) in
       t.counts.pac_signs <- t.counts.pac_signs + 1;
       let signed =
         Rsti_pa.Pac.sign t.pac ~key:Rsti_pa.Key.DA ~modifier:m
-          (eval t regs src)
+          (get64 fr src)
       in
       if t.recording then
         ignore
           (record_op t ~kind:Op_pp_sign ~func:fname ~key:Rsti_pa.Key.DA
-             ~static_mod:fe ~modifier:m ~src:(eval t regs src) ~result:signed
+             ~static_mod:fe ~modifier:m ~src:(get64 fr src) ~result:signed
              ~ok:true);
-      regs.(dst) <- signed
-  | Ir.Pp_add_tbi { dst; src; ce } ->
-      regs.(dst) <- Rsti_pa.Vaddr.with_top_byte (eval t regs src) ce
-  | Ir.Pp_auth { dst; src; slot_addr } -> (
-      let v = eval t regs src in
+      set64 fr dst signed
+  | Cpp_add_tbi { dst; src; ce } ->
+      set64 fr dst (Rsti_pa.Vaddr.with_top_byte (get64 fr src) ce)
+  | Cpp_auth { dst; src; slot } -> (
+      let v = get64 fr src in
       let ce = Rsti_pa.Vaddr.top_byte v in
       let fe = fe_modifier ce in
-      let m = Int64.logxor fe (eval t regs slot_addr) in
+      let m = Int64.logxor fe (get64 fr slot) in
       t.counts.pac_auths <- t.counts.pac_auths + 1;
       match Rsti_pa.Pac.auth t.pac ~key:Rsti_pa.Key.DA ~modifier:m v with
       | Ok ok ->
@@ -1100,7 +1182,7 @@ and exec_pp t fname regs (pp : Ir.pp_call) =
             ignore
               (record_op t ~kind:Op_pp_auth ~func:fname ~key:Rsti_pa.Key.DA
                  ~static_mod:fe ~modifier:m ~src:v ~result:ok ~ok:true);
-          regs.(dst) <- Rsti_pa.Vaddr.with_top_byte ok 0
+          set64 fr dst (Rsti_pa.Vaddr.with_top_byte ok 0)
       | Error corrupted ->
           t.auth_failed <- true;
           emit_event t (Ev_auth_fail { func = fname; modifier = m; ptr = v });
@@ -1113,50 +1195,7 @@ and exec_pp t fname regs (pp : Ir.pp_call) =
           end;
           if t.fpac then
             raise (Trap_exn (Pac_auth_failure { func = fname; modifier = m; ptr = v }));
-          regs.(dst) <- corrupted)
-
-and binop_int op a b fname =
-  match op with
-  | Ast.Add -> Int64.add a b
-  | Ast.Sub -> Int64.sub a b
-  | Ast.Mul -> Int64.mul a b
-  | Ast.Div ->
-      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.div a b
-  | Ast.Mod ->
-      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.rem a b
-  | Ast.Eq -> if Int64.equal a b then 1L else 0L
-  | Ast.Ne -> if Int64.equal a b then 0L else 1L
-  | Ast.Lt -> if Int64.compare a b < 0 then 1L else 0L
-  | Ast.Le -> if Int64.compare a b <= 0 then 1L else 0L
-  | Ast.Gt -> if Int64.compare a b > 0 then 1L else 0L
-  | Ast.Ge -> if Int64.compare a b >= 0 then 1L else 0L
-  | Ast.Bitand -> Int64.logand a b
-  | Ast.Bitor -> Int64.logor a b
-  | Ast.Bitxor -> Int64.logxor a b
-  | Ast.Shl -> Int64.shift_left a (Int64.to_int b land 63)
-  | Ast.Shr -> Int64.shift_right a (Int64.to_int b land 63)
-  | Ast.Logand -> if a <> 0L && b <> 0L then 1L else 0L
-  | Ast.Logor -> if a <> 0L || b <> 0L then 1L else 0L
-
-and binop_float op a b fname =
-  let x = Int64.float_of_bits a and y = Int64.float_of_bits b in
-  let bool v = if v then 1L else 0L in
-  match op with
-  | Ast.Add -> Int64.bits_of_float (x +. y)
-  | Ast.Sub -> Int64.bits_of_float (x -. y)
-  | Ast.Mul -> Int64.bits_of_float (x *. y)
-  | Ast.Div -> Int64.bits_of_float (x /. y)
-  | Ast.Mod -> Int64.bits_of_float (Float.rem x y)
-  | Ast.Eq -> bool (x = y)
-  | Ast.Ne -> bool (x <> y)
-  | Ast.Lt -> bool (x < y)
-  | Ast.Le -> bool (x <= y)
-  | Ast.Gt -> bool (x > y)
-  | Ast.Ge -> bool (x >= y)
-  | Ast.Bitand | Ast.Bitor | Ast.Bitxor | Ast.Shl | Ast.Shr | Ast.Logand
-  | Ast.Logor ->
-      ignore fname;
-      binop_int op a b fname
+          set64 fr dst corrupted)
 
 (* Signature-based CFI (the LLVM cfi-icall / vfGuard style baseline the
    paper's introduction contrasts RSTI with): an indirect call may only
@@ -1173,7 +1212,7 @@ and signatures_match (arg_tys : Ctype.t list) (param_tys : Ctype.t list) variadi
   in
   go arg_tys param_tys
 
-and check_cfi _t caller arg_tys (f : Ir.func) =
+and check_cfi caller arg_tys (f : Ir.func) =
   let param_tys = List.map (fun (p : Rsti_minic.Tast.var) -> p.v_ty) f.params in
   if not (signatures_match arg_tys param_tys false) then
     raise (Trap_exn (Cfi_violation { func = caller; target = f.name }))
@@ -1185,142 +1224,286 @@ and check_cfi_libc t caller arg_tys name =
         raise (Trap_exn (Cfi_violation { func = caller; target = name }))
   | _ -> () (* unknown prototype: coarse CFI allows it *)
 
-and call_function t (fn : Ir.func) (args : int64 list) : int64 =
-  let n = bump t t.call_counts fn.name in
-  emit_event t (Ev_call fn.name);
-  fire_attacks t (On_call (fn.name, n));
+(* ------------------------------------------------------------------ *)
+(* Calls and the compiled form                                         *)
+(* ------------------------------------------------------------------ *)
+
+and call_list t cf args =
+  let c = code_of t cf in
+  let fr = Bytes.copy c.template in
+  List.iteri (fun i a -> if i < c.nregs then set64 fr (8 * i) a) args;
+  invoke t cf c fr
+
+(* A call from compiled code: the arguments are copied slot to slot. *)
+and call_frame t cf fr offs =
+  let c = code_of t cf in
+  let callee = Bytes.copy c.template in
+  for i = 0 to min (Array.length offs) c.nregs - 1 do
+    set64 callee (8 * i) (get64 fr offs.(i))
+  done;
+  invoke t cf c callee
+
+and invoke t cf c fr =
+  let name = cf.fn.name in
+  let n = bump t t.call_counts name in
+  emit_event t (Ev_call name);
+  fire_attacks t (On_call (name, n));
   charge t t.costs.call;
-  let regs = Array.make (max fn.nregs (List.length args)) 0L in
-  List.iteri (fun i a -> if i < Array.length regs then regs.(i) <- a) args;
   let saved_sp = t.sp in
-  let result = exec_blocks t fn regs in
+  let result = exec t c fr 0 in
   t.sp <- saved_sp;
   result
 
-and exec_blocks t (fn : Ir.func) regs : int64 =
-  let rec run_block label =
-    let blk = fn.blocks.(label) in
-    List.iter (exec_instr t fn regs) blk.instrs;
-    match blk.term with
-    | Ir.Ret None ->
+and exec t c fr label =
+  let b = c.blocks.(label) in
+  let instrs = b.instrs in
+  for i = 0 to Array.length instrs - 1 do
+    (Array.unsafe_get instrs i) fr
+  done;
+  match b.term with
+  | Cret o ->
+      charge t t.costs.branch;
+      if o < 0 then 0L else get64 fr o
+  | Cbr l ->
+      charge t t.costs.branch;
+      step t;
+      exec t c fr l
+  | Ccondbr (o, l1, l2) ->
+      charge t t.costs.branch;
+      step t;
+      exec t c fr (if get64 fr o <> 0L then l1 else l2)
+  | Cfail (stepped, e) ->
+      if stepped then begin
         charge t t.costs.branch;
-        0L
-    | Ir.Ret (Some v) ->
-        charge t t.costs.branch;
-        eval t regs v
-    | Ir.Br l ->
-        charge t t.costs.branch;
-        step t;
-        run_block l
-    | Ir.Condbr (c, a, b) ->
-        charge t t.costs.branch;
-        step t;
-        run_block (if eval t regs c <> 0L then a else b)
-    | Ir.Unreachable -> raise (Trap_exn (Unknown_function (fn.name ^ ":unreachable")))
-  in
-  run_block 0
+        step t
+      end;
+      raise e
 
-and exec_instr t (fn : Ir.func) regs (ins : Ir.instr) : unit =
-  if t.profiling then set_site t fn ins;
-  if t.recording then
-    t.cur_line <-
-      (match ins.dbg with Some d -> d.Rsti_ir.Dinfo.dl_line | None -> 0);
-  step t;
-  match ins.i with
-  | Ir.Alloca { dst; ty; _ } ->
-      charge t t.costs.alu;
-      let size = max 8 (Ir.sizeof t.m ty) in
-      let aligned = (size + 15) / 16 * 16 in
-      t.sp <- Int64.sub t.sp (Int64.of_int aligned);
-      if t.sp < Layout.stack_limit then raise (Trap_exn Stack_overflow);
-      Memory.map t.mem ~addr:t.sp ~size:aligned;
-      regs.(dst) <- t.sp
-  | Ir.Load { dst; addr; ty; _ } ->
-      charge t t.costs.load;
-      t.counts.loads <- t.counts.loads + 1;
-      regs.(dst) <- load_typed t fn.name ty (eval t regs addr)
-  | Ir.Store { src; addr; ty; _ } ->
-      charge t t.costs.store;
-      t.counts.stores <- t.counts.stores + 1;
-      store_typed t fn.name ty (eval t regs addr) (eval t regs src)
-  | Ir.Gep { dst; base; sname; field } ->
-      charge t t.costs.gep;
-      let off, _ = Ir.field_offset t.m sname field in
-      regs.(dst) <- Int64.add (eval t regs base) (Int64.of_int off)
-  | Ir.Gepidx { dst; base; elem; idx } ->
-      charge t t.costs.gep;
-      let size = Int64.of_int (Ir.sizeof t.m elem) in
-      regs.(dst) <- Int64.add (eval t regs base) (Int64.mul size (eval t regs idx))
-  | Ir.Bitcast { dst; src; _ } ->
-      charge t t.costs.alu;
-      regs.(dst) <- eval t regs src
-  | Ir.Binop { dst; op; fl; a; b } ->
-      charge t t.costs.alu;
-      let va = eval t regs a and vb = eval t regs b in
-      regs.(dst) <-
-        (match fl with
-        | Ir.Iop -> binop_int op va vb fn.name
-        | Ir.Fop -> binop_float op va vb fn.name)
-  | Ir.Neg { dst; fl; src } ->
-      charge t t.costs.alu;
-      let v = eval t regs src in
-      regs.(dst) <-
-        (match fl with
-        | Ir.Iop -> Int64.neg v
-        | Ir.Fop -> Int64.bits_of_float (-.Int64.float_of_bits v))
-  | Ir.Lognot { dst; src } ->
-      charge t t.costs.alu;
-      regs.(dst) <- (if eval t regs src = 0L then 1L else 0L)
-  | Ir.Bitnot { dst; src } ->
-      charge t t.costs.alu;
-      regs.(dst) <- Int64.lognot (eval t regs src)
-  | Ir.Cast_num { dst; src; from_ty; to_ty } ->
-      charge t t.costs.alu;
-      let v = eval t regs src in
-      let f = Ctype.strip_all_quals from_ty and g = Ctype.strip_all_quals to_ty in
-      regs.(dst) <-
-        (match (f, g) with
-        | (Ctype.Char | Ctype.Int | Ctype.Long), Ctype.Double ->
-            Int64.bits_of_float (Int64.to_float v)
-        | Ctype.Double, (Ctype.Char | Ctype.Int | Ctype.Long) ->
-            Int64.of_float (Int64.float_of_bits v)
-        | _, Ctype.Char -> Int64.logand v 0xFFL
-        | _, Ctype.Int | _, Ctype.Long | _, _ -> v)
-  | Ir.Call { dst; callee; args; arg_tys; _ } ->
-      let arg_tys_of_call = arg_tys in
-      let argv = List.map (eval t regs) args in
-      let result =
-        match callee with
-        | Ir.Direct name -> dispatch_call t fn.name name argv
-        | Ir.Indirect c -> (
-            let target = eval t regs c in
-            match Hashtbl.find_opt t.code_map target with
-            | Some (`Defined f) ->
-                if t.cfi then check_cfi t fn.name arg_tys_of_call f;
-                call_function t f argv
-            | Some (`Libc name) ->
-                if t.cfi then check_cfi_libc t fn.name arg_tys_of_call name;
-                run_builtin t name argv
-            | None ->
-                raise
-                  (Trap_exn
-                     (Bad_indirect_call
-                        { target; func = fn.name; after_auth_fail = t.auth_failed })))
-      in
-      (match dst with Some d -> regs.(d) <- result | None -> ())
-  | Ir.Pac p -> exec_pac t fn.name regs p
-  | Ir.Pp pp -> exec_pp t fn.name regs pp
-
-and dispatch_call t caller name argv =
-  match Hashtbl.find_opt t.funcs_by_name name with
-  | Some f -> call_function t f argv
+and code_of t cf =
+  match cf.code with
+  | Some c -> c
   | None ->
-      if List.mem name builtin_names || Hashtbl.mem t.func_addrs name then
-        run_builtin t name argv
-      else begin
-        ignore caller;
-        raise (Trap_exn (Unknown_function name))
-      end
+      let c = compile t cf.fn in
+      cf.code <- Some c;
+      c
+
+(* Resolve every static fact of [fn] once: operand slots, sizes, field
+   offsets, access widths, operators, callees. A fact that cannot be
+   resolved (an unknown global, struct or field, a string index out of
+   range) is not an error until its instruction runs: the instruction
+   then raises what resolving it raised, operands in evaluation order. *)
+and compile t (fn : Ir.func) =
+  let nregs = fn.nregs in
+  let consts = Hashtbl.create 16 in
+  let const v =
+    match Hashtbl.find_opt consts v with
+    | Some o -> o
+    | None ->
+        let o = 8 * (nregs + Hashtbl.length consts) in
+        Hashtbl.replace consts v o;
+        o
+  in
+  let reg r = if r < 0 || r >= nregs then invalid_arg "index out of bounds" else 8 * r in
+  let opnd : Ir.value -> int = function
+    | Ir.Reg r -> reg r
+    | Ir.Imm n -> const n
+    | Ir.Fimm x -> const (Int64.bits_of_float x)
+    | Ir.Global g -> const (global_addr t g)
+    | Ir.Funcaddr f -> const (func_addr t f)
+    | Ir.Str i -> const t.string_addrs.(i)
+    | Ir.Null -> const 0L
+  in
+  let term : Ir.terminator -> cterm = function
+    | Ir.Ret None -> Cret (-1)
+    | Ir.Ret (Some v) -> ( try Cret (opnd v) with e -> Cfail (false, e))
+    | Ir.Br l -> Cbr l
+    | Ir.Condbr (v, a, b) -> ( try Ccondbr (opnd v, a, b) with e -> Cfail (true, e))
+    | Ir.Unreachable -> Cfail (false, Trap_exn (Unknown_function (fn.name ^ ":unreachable")))
+  in
+  let blocks =
+    Array.map
+      (fun (b : Ir.block) ->
+        {
+          instrs = Array.of_list (List.map (compile_instr t fn.name opnd reg) b.instrs);
+          term = term b.term;
+        })
+      fn.blocks
+  in
+  let template = Bytes.make (8 * (nregs + Hashtbl.length consts)) '\000' in
+  Hashtbl.iter (fun v o -> set64 template o v) consts;
+  { nregs; template; blocks }
+
+(* Each closure keeps the per-instruction order of the machine: site,
+   flight-recorder line, step (and with it the step limit), then the
+   instruction's own charges and effects. *)
+and compile_instr t fname opnd reg (ins : Ir.instr) : Bytes.t -> unit =
+  let line = match ins.dbg with Some d -> d.Rsti_ir.Dinfo.dl_line | None -> 0 in
+  let costs = t.costs and n = t.counts in
+  try
+    match ins.i with
+    | Ir.Alloca { dst; ty; _ } ->
+        let size = max 8 (Ir.sizeof t.m ty) in
+        let aligned = (size + 15) / 16 * 16 and d = reg dst in
+        fun fr ->
+          enter t fname line;
+          charge t costs.alu;
+          t.sp <- t.sp - aligned;
+          if t.sp < stack_limit then raise (Trap_exn Stack_overflow);
+          (* the pages above [stack_mapped] are mapped already *)
+          if t.sp < t.stack_mapped then begin
+            Memory.map t.mem ~addr:(Int64.of_int t.sp) ~size:aligned;
+            t.stack_mapped <- t.sp
+          end;
+          set64 fr d (Int64.of_int t.sp)
+    | Ir.Load { dst; addr; ty; _ } -> (
+        let a = opnd addr in
+        let d = reg dst and byte = is_char ty in
+        fun fr ->
+          enter t fname line;
+          charge t costs.load;
+          n.loads <- n.loads + 1;
+          match
+            if byte then Memory.load_byte t.mem fr ~addr:a ~dst:d
+            else Memory.load_word t.mem fr ~addr:a ~dst:d
+          with
+          | () -> ()
+          | exception Memory.Fault f -> raise (mem_fault t fname f))
+    | Ir.Store { src; addr; ty; _ } -> (
+        let v = opnd src in
+        let a = opnd addr and byte = is_char ty in
+        fun fr ->
+          enter t fname line;
+          charge t costs.store;
+          n.stores <- n.stores + 1;
+          match
+            if byte then Memory.store_byte t.mem fr ~addr:a ~src:v
+            else Memory.store_word t.mem fr ~addr:a ~src:v
+          with
+          | () -> ()
+          | exception Memory.Fault f -> raise (mem_fault t fname f))
+    | Ir.Gep { dst; base; sname; field } ->
+        let off = Int64.of_int (fst (Ir.field_offset t.m sname field)) in
+        let b = opnd base and d = reg dst in
+        fun fr -> arith t fname line costs.gep fr d (Int64.add (get64 fr b) off)
+    | Ir.Gepidx { dst; base; elem; idx } ->
+        let size = Int64.of_int (Ir.sizeof t.m elem) in
+        let i = opnd idx in
+        let b = opnd base and d = reg dst in
+        fun fr ->
+          arith t fname line costs.gep fr d (Int64.add (get64 fr b) (Int64.mul size (get64 fr i)))
+    | Ir.Bitcast { dst; src; _ } ->
+        let s = opnd src and d = reg dst in
+        fun fr -> arith t fname line costs.alu fr d (get64 fr s)
+    | Ir.Binop { dst; op; fl; a; b } -> (
+        let a = opnd a in
+        let b = opnd b and d = reg dst in
+        (* the operator may trap (division by zero), so it runs after the step *)
+        match fl with
+        | Ir.Iop ->
+            fun fr ->
+              enter t fname line;
+              charge t costs.alu;
+              set64 fr d (binop_int op (get64 fr a) (get64 fr b) fname)
+        | Ir.Fop ->
+            fun fr ->
+              enter t fname line;
+              charge t costs.alu;
+              set64 fr d (binop_float op (get64 fr a) (get64 fr b) fname))
+    | Ir.Neg { dst; fl; src } -> (
+        let s = opnd src and d = reg dst in
+        match fl with
+        | Ir.Iop -> fun fr -> arith t fname line costs.alu fr d (Int64.neg (get64 fr s))
+        | Ir.Fop ->
+            fun fr ->
+              arith t fname line costs.alu fr d
+                (Int64.bits_of_float (-.Int64.float_of_bits (get64 fr s))))
+    | Ir.Lognot { dst; src } ->
+        let s = opnd src and d = reg dst in
+        fun fr -> arith t fname line costs.alu fr d (if get64 fr s = 0L then 1L else 0L)
+    | Ir.Bitnot { dst; src } ->
+        let s = opnd src and d = reg dst in
+        fun fr -> arith t fname line costs.alu fr d (Int64.lognot (get64 fr s))
+    | Ir.Cast_num { dst; src; from_ty; to_ty } -> (
+        let s = opnd src and d = reg dst and alu = costs.alu in
+        match (Ctype.strip_all_quals from_ty, Ctype.strip_all_quals to_ty) with
+        | (Ctype.Char | Ctype.Int | Ctype.Long), Ctype.Double ->
+            fun fr ->
+              arith t fname line alu fr d (Int64.bits_of_float (Int64.to_float (get64 fr s)))
+        | Ctype.Double, (Ctype.Char | Ctype.Int | Ctype.Long) ->
+            fun fr ->
+              arith t fname line alu fr d (Int64.of_float (Int64.float_of_bits (get64 fr s)))
+        | _, Ctype.Char -> fun fr -> arith t fname line alu fr d (Int64.logand (get64 fr s) 0xFFL)
+        | _ -> fun fr -> arith t fname line alu fr d (get64 fr s))
+    | Ir.Call { dst; callee; args; arg_tys; _ } -> (
+        let offs = Array.of_list (List.map opnd args) in
+        let d = match dst with Some r -> reg r | None -> -1 in
+        match callee with
+        | Ir.Direct name -> (
+            match Hashtbl.find_opt t.funcs_by_name name with
+            | Some cf ->
+                fun fr ->
+                  enter t fname line;
+                  result fr d (call_frame t cf fr offs)
+            | None when List.mem name builtin_names || Hashtbl.mem t.func_addrs name ->
+                fun fr ->
+                  enter t fname line;
+                  result fr d (run_builtin t name (arg_list fr offs))
+            | None ->
+                fun _ ->
+                  enter t fname line;
+                  raise (Trap_exn (Unknown_function name)))
+        | Ir.Indirect v -> (
+            let c = opnd v in
+            fun fr ->
+              enter t fname line;
+              let target = get64 fr c in
+              match Hashtbl.find_opt t.code_map target with
+              | Some (`Defined cf) ->
+                  if t.cfi then check_cfi fname arg_tys cf.fn;
+                  result fr d (call_frame t cf fr offs)
+              | Some (`Libc name) ->
+                  if t.cfi then check_cfi_libc t fname arg_tys name;
+                  result fr d (run_builtin t name (arg_list fr offs))
+              | None ->
+                  raise
+                    (Trap_exn
+                       (Bad_indirect_call
+                          { target; func = fname; after_auth_fail = t.auth_failed }))))
+    | Ir.Pac p ->
+        let src = opnd p.p_src in
+        let cmod : Ir.modifier -> cmod = function
+          | Ir.Mconst c -> Mc c
+          | Ir.Mloc c -> ( try Ml (c, opnd p.p_slot_addr) with e -> Mbad (c, e))
+        in
+        let md = cmod p.p_mod and md_from = cmod p.p_mod_from in
+        let shadow = t.backend = `Shadow_mac in
+        let slot = if shadow then opnd p.p_slot_addr else -1 in
+        let p = { kind = p.p_kind; dst = reg p.p_dst; src; key = p.p_key; md; md_from; slot } in
+        if shadow then fun fr ->
+          enter t fname line;
+          exec_shadow_mac t fname fr p
+        else fun fr ->
+          enter t fname line;
+          exec_pac t fname fr p
+    | Ir.Pp pp ->
+        let pp =
+          match pp with
+          | Ir.Pp_add _ -> Cpp_add
+          | Ir.Pp_sign { dst; src; ce; slot_addr } ->
+              let slot = opnd slot_addr in
+              Cpp_sign { dst = reg dst; src = opnd src; ce; slot }
+          | Ir.Pp_auth { dst; src; slot_addr } ->
+              let src = opnd src in
+              Cpp_auth { dst = reg dst; src; slot = opnd slot_addr }
+          | Ir.Pp_add_tbi { dst; src; ce } -> Cpp_add_tbi { dst = reg dst; src = opnd src; ce }
+        in
+        fun fr ->
+          enter t fname line;
+          exec_pp t fname fr pp
+  with e ->
+    fun _ ->
+      enter t fname line;
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Entry                                                               *)
@@ -1334,10 +1517,10 @@ let run ?(attacks = []) ?step_limit ?(entry = "main") t =
   let status =
     try
       (match Hashtbl.find_opt t.funcs_by_name Ir.global_init_name with
-      | Some init -> ignore (call_function t init [])
+      | Some init -> ignore (call_list t init [])
       | None -> ());
       match Hashtbl.find_opt t.funcs_by_name entry with
-      | Some f -> Exited (call_function t f [])
+      | Some f -> Exited (call_list t f [])
       | None -> Trapped (Unknown_function entry)
     with
     | Trap_exn tr -> Trapped tr

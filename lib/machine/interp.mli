@@ -242,5 +242,8 @@ val run :
   t ->
   outcome
 (** Execute [__rsti_global_init] then [entry] (default ["main"]).
+    Each defined function is compiled on its first call on this machine;
+    an operand, size or field offset that cannot be resolved raises only
+    when its instruction executes.
     [step_limit] bounds interpreted instructions (default 200 million).
     A machine can be run only once; create a fresh one per run. *)

@@ -14,46 +14,55 @@ let fault_to_string = function
 let page_bits = 12
 let page_size = 1 lsl page_bits
 
+(* Page numbers are ints: a canonical address has 48 bits. Pages are
+   never unmapped, so the one-entry cache of the last page looked up
+   can never go stale. *)
 type t = {
-  pages : (int64, bytes) Hashtbl.t;
+  pages : (int, bytes) Hashtbl.t;
   mutable ro_regions : (int64 * int64) list; (* inclusive lo, exclusive hi *)
+  mutable last_pno : int;
+  mutable last_page : bytes;
 }
 
-let create () = { pages = Hashtbl.create 256; ro_regions = [] }
+let create () =
+  { pages = Hashtbl.create 256; ro_regions = []; last_pno = -1; last_page = Bytes.empty }
 
-let canonical_limit = 0x0001_0000_0000_0000L (* 2^48 *)
+let[@inline] is_canonical a = Int64.shift_right_logical a 48 = 0L
 
-let check_canonical a =
-  if Int64.unsigned_compare a canonical_limit >= 0 then
-    raise (Fault (Non_canonical a))
+let[@inline] check_canonical a = if not (is_canonical a) then raise (Fault (Non_canonical a))
 
-let page_of a = Int64.shift_right_logical a page_bits
-let offset_of a = Int64.to_int (Int64.logand a (Int64.of_int (page_size - 1)))
+let[@inline] page_of a = Int64.to_int (Int64.shift_right_logical a page_bits)
+let[@inline] offset_of a = Int64.to_int a land (page_size - 1)
 
-let get_page t a =
+let[@inline] get_page t a =
   check_canonical a;
-  match Hashtbl.find_opt t.pages (page_of a) with
-  | Some p -> p
-  | None -> raise (Fault (Unmapped a))
+  let pno = page_of a in
+  if pno = t.last_pno then t.last_page
+  else
+    match Hashtbl.find t.pages pno with
+    | p ->
+        t.last_pno <- pno;
+        t.last_page <- p;
+        p
+    | exception Not_found -> raise (Fault (Unmapped a))
 
 let map t ~addr ~size =
   check_canonical addr;
   let first = page_of addr and last = page_of (Int64.add addr (Int64.of_int (max 0 (size - 1)))) in
-  let p = ref first in
-  while Int64.compare !p last <= 0 do
-    if not (Hashtbl.mem t.pages !p) then
-      Hashtbl.replace t.pages !p (Bytes.make page_size '\000');
-    p := Int64.add !p 1L
+  for p = first to last do
+    if not (Hashtbl.mem t.pages p) then Hashtbl.replace t.pages p (Bytes.make page_size '\000')
   done
 
 let protect t ~addr ~size =
   t.ro_regions <- (addr, Int64.add addr (Int64.of_int size)) :: t.ro_regions
 
-let in_ro t a =
-  List.exists (fun (lo, hi) -> a >= lo && a < hi) t.ro_regions
+let rec in_region a = function
+  | [] -> false
+  | (lo, hi) :: rest -> (a >= lo && a < hi) || in_region a rest
 
-let is_mapped t a =
-  Int64.unsigned_compare a canonical_limit < 0 && Hashtbl.mem t.pages (page_of a)
+let[@inline] in_ro t a = t.ro_regions <> [] && in_region a t.ro_regions
+
+let is_mapped t a = is_canonical a && Hashtbl.mem t.pages (page_of a)
 
 let read_u8 t a = Char.code (Bytes.get (get_page t a) (offset_of a))
 
@@ -90,17 +99,47 @@ let write_u64 t a v =
   if in_ro t a then raise (Fault (Read_only a));
   write_u64_raw t a v
 
+(* [n] is never allocated up front: a length past the mapped region
+   faults at its first unmapped byte. *)
 let read_bytes t a n =
-  let out = Bytes.create n in
+  let out = Buffer.create (max 1 (min n page_size)) in
   for i = 0 to n - 1 do
-    Bytes.set out i (Char.chr (read_u8 t (Int64.add a (Int64.of_int i))))
+    Buffer.add_char out (Char.unsafe_chr (read_u8 t (Int64.add a (Int64.of_int i))))
   done;
-  out
+  Buffer.to_bytes out
 
 let write_bytes t a b =
   for i = 0 to Bytes.length b - 1 do
     write_u8 t (Int64.add a (Int64.of_int i)) (Char.code (Bytes.get b i))
   done
+
+(* Frame transfers for the interpreter: the address is read from, and
+   the value read into or written from, 8-byte slots of an unboxed
+   register frame, so no int64 is boxed on the way. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let load_word t fr ~addr ~dst =
+  let a = get64 fr addr in
+  let off = offset_of a in
+  if off <= page_size - 8 then set64 fr dst (Bytes.get_int64_le (get_page t a) off)
+  else set64 fr dst (read_u64 t a)
+
+let load_byte t fr ~addr ~dst =
+  let a = get64 fr addr in
+  set64 fr dst (Int64.of_int (Char.code (Bytes.get (get_page t a) (offset_of a))))
+
+let store_word t fr ~addr ~src =
+  let a = get64 fr addr in
+  if in_ro t a then raise (Fault (Read_only a));
+  let off = offset_of a in
+  if off <= page_size - 8 then Bytes.set_int64_le (get_page t a) off (get64 fr src)
+  else write_u64_raw t a (get64 fr src)
+
+let store_byte t fr ~addr ~src =
+  let a = get64 fr addr in
+  if in_ro t a then raise (Fault (Read_only a));
+  Bytes.set (get_page t a) (offset_of a) (Char.unsafe_chr (Int64.to_int (get64 fr src) land 0xFF))
 
 let read_cstring t a =
   let buf = Buffer.create 32 in

@@ -38,7 +38,24 @@ val write_u64_raw : t -> int64 -> int64 -> unit
     to build its own metadata, never by interpreted code. *)
 
 val read_bytes : t -> int64 -> int -> bytes
+(** [read_bytes t a n] reads [n] bytes, faulting at the first unmapped
+    one; [n] is not allocated up front, so a huge count faults instead of
+    exhausting the host. *)
+
 val write_bytes : t -> int64 -> bytes -> unit
+
+(** {2 Frame transfers}
+
+    For an interpreter whose registers live in a [Bytes] frame of 8-byte
+    native-endian slots: the address is read from the slot at byte
+    offset [addr], and the value moves to or from the slot at [dst] or
+    [src], without boxing a word. Faults are raised as by the functions
+    above. Bytes load zero-extended; byte stores keep the low 8 bits. *)
+
+val load_word : t -> Bytes.t -> addr:int -> dst:int -> unit
+val load_byte : t -> Bytes.t -> addr:int -> dst:int -> unit
+val store_word : t -> Bytes.t -> addr:int -> src:int -> unit
+val store_byte : t -> Bytes.t -> addr:int -> src:int -> unit
 
 val read_cstring : t -> int64 -> string
 (** Read a NUL-terminated string (capped at 64 KiB). *)

@@ -74,17 +74,23 @@ let is_scalar t =
   | Char | Int | Long | Double | Ptr _ -> true
   | Void | Const _ | Struct _ | Func _ | Array _ -> false
 
-let rec sizeof ~lookup t =
+(* [seen] holds the structs whose layout is being computed further up
+   the recursion: meeting one of them again means a struct contains
+   itself by value, which has no finite size. *)
+let rec size_in ~lookup seen t =
   match t with
   | Void -> invalid_arg "Ctype.sizeof: void has no size"
   | Char -> 1
   | Int | Long | Double | Ptr _ -> 8
-  | Const t -> sizeof ~lookup t
-  | Struct name -> struct_size ~lookup name
+  | Const t -> size_in ~lookup seen t
+  | Struct name -> max 8 (snd (struct_layout ~lookup seen name))
   | Func _ -> invalid_arg "Ctype.sizeof: function type has no size"
-  | Array (t, n) -> n * sizeof ~lookup t
+  | Array (t, n) -> n * size_in ~lookup seen t
 
-and layout ~lookup fields =
+and struct_layout ~lookup seen name =
+  if List.mem name seen then
+    invalid_arg (Printf.sprintf "Ctype.sizeof: struct '%s' contains itself by value" name);
+  let seen = name :: seen in
   (* Declaration order; 8-byte alignment except chars / char arrays pack. *)
   let align off t =
     let needs8 =
@@ -99,16 +105,14 @@ and layout ~lookup fields =
     | [] -> (List.rev acc, (off + 7) / 8 * 8)
     | (name, ty) :: rest ->
         let off = align off ty in
-        go (off + sizeof ~lookup ty) ((name, ty, off) :: acc) rest
+        go (off + size_in ~lookup seen ty) ((name, ty, off) :: acc) rest
   in
-  go 0 [] fields
+  go 0 [] (lookup name)
 
-and struct_size ~lookup name =
-  let _, size = layout ~lookup (lookup name) in
-  max 8 size
+let sizeof ~lookup t = size_in ~lookup [] t
 
 let field_offset ~lookup sname fname =
-  let fields, _ = layout ~lookup (lookup sname) in
+  let fields, _ = struct_layout ~lookup [] sname in
   let rec find = function
     | [] -> raise Not_found
     | (name, ty, off) :: rest -> if String.equal name fname then (off, ty) else find rest

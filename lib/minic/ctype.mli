@@ -61,13 +61,18 @@ val is_scalar : t -> bool
 
 val sizeof : lookup:(string -> (string * t) list) -> t -> int
 (** Byte size under the ILP64 model. [lookup] resolves struct names to
-    field lists. Function types have no size (raises). *)
+    field lists. Function types have no size (raises). A struct that
+    reaches itself by value through [lookup] (directly, through another
+    struct or through an array) has no finite size: raises
+    [Invalid_argument "Ctype.sizeof: struct 'S' contains itself by value"]
+    instead of recursing forever. *)
 
 val field_offset : lookup:(string -> (string * t) list) -> string -> string -> int * t
 (** [field_offset ~lookup sname fname] is the byte offset and type of a
     struct field. Fields are laid out in declaration order, each aligned
     to 8 bytes except consecutive [char]s/char arrays which pack. Raises
-    [Not_found] if the field does not exist. *)
+    [Not_found] if the field does not exist, and [Invalid_argument] as
+    {!sizeof} does when the layout contains itself by value. *)
 
 val to_string : t -> string
 (** C-style rendering, e.g. ["const void*"], ["struct node*"],

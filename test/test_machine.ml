@@ -306,6 +306,45 @@ let test_interp_switch_no_default () =
     (exit_code
        "int main(void) { int x = 7; switch (x) { case 1: x = 0; break; } return x; }")
 
+(* A memory fault inside the simulated libc is a machine trap charged
+   to the builtin, and a C size_t length never escapes as a host
+   exception: each corpus program (also run by CI through rstic) must
+   end in a memory fault inside the named builtin. *)
+let libc_fault_cases =
+  [
+    ("strcpy", "libc_strcpy_null.c");
+    ("memcpy", "libc_memcpy_negative.c");
+    ("memcpy", "libc_memcpy_huge.c");
+    ("strncpy", "libc_strncpy_negative.c");
+    ("strncmp", "libc_strncmp_negative.c");
+    ("memset", "libc_memset_huge.c");
+  ]
+
+let test_libc_fault builtin file () =
+  let src = In_channel.with_open_bin (Filename.concat "corpus" file) In_channel.input_all in
+  match (run src).Interp.status with
+  | Interp.Trapped (Interp.Mem_fault { func; _ }) -> checks "faulting builtin" builtin func
+  | Interp.Exited n -> Alcotest.failf "exited %Ld" n
+  | Interp.Trapped t -> Alcotest.failf "trap: %s" (Interp.trap_to_string t)
+
+(* In-range lengths keep their results: memmove reads before it writes,
+   strncpy copies min(n, strlen) bytes plus a NUL, strncmp compares the
+   n-byte prefixes. *)
+let test_libc_in_range () =
+  let o =
+    run
+      "extern void* memmove(void* d, const void* s, long n);\n\
+       extern char* strncpy(char* d, const char* s, long n);\n\
+       extern int strncmp(const char* a, const char* b, long n);\n\
+       extern int printf(const char* f, ...);\n\
+       int main(void) { char a[16]; char b[16];\n\
+       strncpy(a, \"abcdefgh\", 16); memmove(a + 2, a, 5);\n\
+       strncpy(b, \"xyz\", 2); b[2] = 0;\n\
+       printf(\"%s %s %d %d\", a, b, strncmp(\"abc\", \"abd\", 2), strncmp(\"abc\", \"abd\", 3));\n\
+       return 0; }"
+  in
+  checks "in-range results" "ababcdeh xy 0 -1" o.Interp.output
+
 (* --------------------------- attacker API --------------------------- *)
 
 let test_attack_hooks_fire_in_order () =
@@ -375,6 +414,350 @@ let test_cost_model_scales () =
 let test_cost_with_pac () =
   checki "with_pac" 11 (Cost.with_pac Cost.default 11).Cost.pac
 
+(* -------------------------- golden outcomes -------------------------- *)
+
+(* Interpreter outcomes pinned in test/golden/interp_outcomes.txt: every
+   observable field of a set of runs that, between them, execute every
+   IR construct under every machine mode. Any change to the
+   interpreter that moves a cycle, a counter, an event, a profiled site
+   or an incident shows up as a line diff. On a mismatch the rendering
+   is written to interp_outcomes.actual in the test's working directory
+   (_build/default/test), which is also how the file is regenerated. *)
+
+module Ir = Rsti_ir.Ir
+module RT = Rsti_sti.Rsti_type
+module K = Rsti_workloads.Kernels
+
+(* Covers what the small kernels may not: a pointer-to-pointer cast
+   through void** (the pp library calls), unary minus, logical and
+   bitwise not, numeric casts, float negation, function and string
+   addresses, and dead code after a return. *)
+let golden_extra =
+  {|
+extern void* malloc(long n);
+extern int printf(const char* f, ...);
+struct node { long key; struct node* next; };
+long counter = 3;
+void erased(void** pp) { void* inner = *pp; if (inner) { counter = counter + 1; } }
+long twice(long x) { return x * 2; }
+int main(void) {
+  struct node* p = (struct node*) malloc(sizeof(struct node));
+  long (*f)(long) = twice;
+  double d = 2.5;
+  long a[4];
+  p->key = 41;
+  erased((void**) &p);
+  a[1] = -p->key + (~counter) + !counter;
+  d = -d * (double) a[1];
+  printf("%ld %ld %d %s\n", p->key, f(a[1]), (int) d, "ok");
+  return 0;
+  counter = 9;
+}
+|}
+
+let golden_kernels =
+  [
+    ("extra", golden_extra);
+    ("hash_table", K.hash_table ~buckets:8 ~items:24 ~lookups:48);
+    ("event_queue", K.event_queue ~events:40);
+    ("binary_tree", K.binary_tree ~nodes:40 ~searches:60);
+    ("network_simplex", K.network_simplex ~nodes:20 ~iters:2);
+    ("stencil", K.stencil ~n:32 ~iters:3);
+    ("string_churn", K.string_churn ~rounds:8);
+    ("dispatch_table", K.dispatch_table ~rounds:40);
+  ]
+
+(* Hand-built modules, for what the frontend never emits. *)
+let ins i : Ir.instr = { i; dbg = None }
+
+let hand_func ?(name = "main") ~nregs blocks : Ir.func =
+  {
+    name;
+    ret = Rsti_minic.Ctype.Long;
+    params = [];
+    nregs;
+    loc = Rsti_minic.Loc.dummy;
+    blocks = Array.mapi (fun label (instrs, term) -> { Ir.label; instrs; term }) blocks;
+  }
+
+let hand_modul ?(globals = []) funcs : Ir.modul =
+  {
+    m_structs = [ ("node", [ ("key", Rsti_minic.Ctype.Long) ]) ];
+    m_globals =
+      List.mapi
+        (fun v_id v_name ->
+          { Ir.gvar =
+              { Rsti_minic.Tast.v_id; v_name; v_ty = Rsti_minic.Ctype.Long;
+                v_kind = Rsti_minic.Tast.Kglobal; v_func = None;
+                v_loc = Rsti_minic.Loc.dummy } })
+        globals;
+    m_funcs = funcs;
+    m_strings = [||];
+    m_externs = [];
+  }
+
+(* Dead code still gets a real terminator from the lowering, so
+   [Unreachable] only runs in a hand-built function. *)
+let unreachable_modul =
+  hand_modul
+    [
+      hand_func ~nregs:1
+        [|
+          ([ ins (Ir.Binop { dst = 0; op = Rsti_minic.Ast.Add; fl = Ir.Iop; a = Ir.Imm 1L; b = Ir.Imm 2L }) ],
+           Ir.Br 1);
+          ([], Ir.Unreachable);
+        |];
+    ]
+
+let golden_mechs = [ RT.Stwc; RT.Stc; RT.Stl; RT.Parts ]
+let uncached = { Pipeline.default with Pipeline.cache = false }
+let golden_compiled src = Pipeline.compile ~config:uncached (Pipeline.source ~file:"g.c" src)
+
+let golden_inst mech src =
+  Pipeline.instrument ~config:uncached mech (Pipeline.analyze ~config:uncached (golden_compiled src))
+
+let render_outcome buf name (o : Interp.outcome) =
+  let p fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let c = o.counts in
+  p "## %s" name;
+  p "status %s"
+    (match o.status with
+    | Interp.Exited n -> Printf.sprintf "exit %Ld" n
+    | Interp.Trapped t -> "trap " ^ Interp.trap_to_string t);
+  p "cycles %d" o.cycles;
+  p "counts instrs=%d loads=%d stores=%d signs=%d auths=%d strips=%d pp=%d pac_charges=%d"
+    c.instrs c.loads c.stores c.pac_signs c.pac_auths c.pac_strips c.pp_calls c.pac_charges;
+  p "output %s" (md5 o.output);
+  let prof l = String.concat " " (List.map (fun (n, k) -> Printf.sprintf "%s=%d" n k) l) in
+  p "calls %s" (prof o.call_profile);
+  p "externs %s" (prof o.extern_profile);
+  let event = function
+    | Interp.Ev_call f -> "call " ^ f
+    | Interp.Ev_extern (f, args) ->
+        Printf.sprintf "extern %s(%s)" f (String.concat "," (List.map Int64.to_string args))
+    | Interp.Ev_auth_fail { func; modifier; ptr } ->
+        Printf.sprintf "auth_fail %s %Lx %Lx" func modifier ptr
+    | Interp.Ev_attack s -> "attack " ^ s
+    | Interp.Ev_output s -> "output " ^ String.escaped s
+  in
+  p "events %d %s" (List.length o.events) (md5 (String.concat "\n" (List.map event o.events)));
+  List.iter
+    (fun (s : Interp.site) ->
+      p "site %s:%d cycles=%d instrs=%d pac=%d strips=%d pp=%d" s.s_func s.s_line s.s_cycles
+        s.s_instrs s.s_pac_charges s.s_strips s.s_pp_calls)
+    o.sites;
+  let op (x : Interp.pac_op) =
+    Printf.sprintf "%s %s:%d %s static=%Lx mod=%Lx src=%Lx res=%Lx ok=%b at=%d/%d"
+      (Interp.op_kind_to_string x.op_kind) x.op_func x.op_line
+      (Rsti_pa.Key.which_to_string x.op_key) x.op_static_mod x.op_modifier x.op_src
+      x.op_result x.op_ok x.op_cycle x.op_instr
+  in
+  let opt f = function Some v -> f v | None -> "none" in
+  List.iter
+    (fun (i : Interp.incident) ->
+      p "incident %s:%d %s static=%Lx mod=%Lx ptr=%Lx at=%d/%d corrupt=%s latency=%s/%s"
+        i.inc_func i.inc_line (Rsti_pa.Key.which_to_string i.inc_key) i.inc_static_mod
+        i.inc_modifier i.inc_ptr i.inc_cycle i.inc_instr
+        (opt (fun (cy, ins) -> Printf.sprintf "%d/%d" cy ins) i.inc_corrupt)
+        (opt string_of_int i.inc_latency_cycles)
+        (opt string_of_int i.inc_latency_instrs);
+      p "  signer %s" (opt op i.inc_signer);
+      List.iter (fun x -> p "  window %s" (op x)) i.inc_window)
+    o.incidents
+
+let trap_programs =
+  [
+    ( "trap: stack overflow",
+      "int boom(int n) { int pad[64]; pad[0] = n; return boom(n + pad[0]); }\n\
+       int main(void) { return boom(1); }" );
+    ( "trap: div by zero",
+      "int main(void) { int s = 0; for (int i = 0; i < 7; i++) { s += i; }\n\
+       int z = s - 21; return s / z; }" );
+    ( "trap: mid-block memory fault",
+      "long g = 5;\n\
+       int main(void) { long* p = (long*) 24; long a = g + 1; long b = *p; return (int) (a + b); }" );
+  ]
+
+let golden_rendering () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (name, src) ->
+      render_outcome buf (name ^ " base") (Pipeline.run_baseline ~config:uncached (golden_compiled src));
+      List.iter
+        (fun mech ->
+          render_outcome buf
+            (Printf.sprintf "%s %s" name (RT.mechanism_to_string mech))
+            (Pipeline.run ~config:uncached (golden_inst mech src)))
+        golden_mechs)
+    golden_kernels;
+  let ht = List.assoc "hash_table" golden_kernels in
+  let dt = List.assoc "dispatch_table" golden_kernels in
+  render_outcome buf "hash_table stl profile"
+    (Pipeline.run ~config:uncached ~profile:true (golden_inst RT.Stl ht));
+  render_outcome buf "hash_table stwc shadow-mac"
+    (Pipeline.run ~config:uncached ~backend:`Shadow_mac (golden_inst RT.Stwc ht));
+  render_outcome buf "dispatch_table base cfi"
+    (Pipeline.run_baseline ~config:uncached ~cfi:true (golden_compiled dt));
+  let module Sc = Rsti_attacks.Scenario in
+  let module Cat = Rsti_attacks.Catalog in
+  let sc = Cat.newton_cscfi in
+  render_outcome buf "newton-cscfi stwc no-fpac"
+    (Pipeline.run ~config:uncached ~fpac:false ~attacks:sc.Sc.attacks (golden_inst RT.Stwc sc.Sc.program));
+  List.iter
+    (fun ((sc : Sc.t), mech) ->
+      render_outcome buf
+        (Printf.sprintf "%s %s flight" sc.id (RT.mechanism_to_string mech))
+        (Sc.run ~flight:Rsti_attacks.Incident.default_flight sc mech).outcome)
+    [ (Cat.newton_cscfi, RT.Stwc); (Cat.cve_python, RT.Stl); (Cat.dop_proftpd, RT.Parts) ];
+  let r = Pipeline.result (golden_inst RT.Stwc ht) in
+  let vm = Interp.create ~pp_table:r.pp_table r.modul in
+  render_outcome buf "trap: step limit" (Interp.run ~step_limit:5_000 vm);
+  List.iter
+    (fun (name, src) ->
+      render_outcome buf name (Pipeline.run_baseline ~config:uncached (golden_compiled src)))
+    trap_programs;
+  render_outcome buf "trap: unreachable" (Interp.run (Interp.create unreachable_modul));
+  Buffer.contents buf
+
+(* The constructors of every IR type the interpreter dispatches on that
+   occur in the golden modules (uninstrumented and under each mechanism). *)
+let golden_constructors () =
+  let seen = Hashtbl.create 64 in
+  let mark s = Hashtbl.replace seen s () in
+  let value (v : Ir.value) =
+    mark
+      (match v with
+      | Ir.Imm _ -> "Imm"
+      | Ir.Fimm _ -> "Fimm"
+      | Ir.Reg _ -> "Reg"
+      | Ir.Global _ -> "Global"
+      | Ir.Funcaddr _ -> "Funcaddr"
+      | Ir.Str _ -> "Str"
+      | Ir.Null -> "Null")
+  in
+  let instr (ins : Ir.instr) =
+    let tag, vs =
+      match ins.i with
+      | Ir.Alloca _ -> ("Alloca", [])
+      | Ir.Load { addr; _ } -> ("Load", [ addr ])
+      | Ir.Store { src; addr; _ } -> ("Store", [ src; addr ])
+      | Ir.Gep { base; _ } -> ("Gep", [ base ])
+      | Ir.Gepidx { base; idx; _ } -> ("Gepidx", [ base; idx ])
+      | Ir.Bitcast { src; _ } -> ("Bitcast", [ src ])
+      | Ir.Binop { a; b; _ } -> ("Binop", [ a; b ])
+      | Ir.Neg { src; _ } -> ("Neg", [ src ])
+      | Ir.Lognot { src; _ } -> ("Lognot", [ src ])
+      | Ir.Bitnot { src; _ } -> ("Bitnot", [ src ])
+      | Ir.Cast_num { src; _ } -> ("Cast_num", [ src ])
+      | Ir.Call { callee; args; _ } ->
+          ("Call", match callee with Ir.Indirect c -> c :: args | Ir.Direct _ -> args)
+      | Ir.Pac p ->
+          mark
+            (match p.p_kind with
+            | Ir.Ksign -> "Ksign"
+            | Ir.Kauth -> "Kauth"
+            | Ir.Kresign -> "Kresign"
+            | Ir.Kstrip -> "Kstrip");
+          ("Pac", [ p.p_src; p.p_slot_addr ])
+      | Ir.Pp pp -> (
+          mark "Pp";
+          match pp with
+          | Ir.Pp_add { pp_addr; _ } -> ("Pp_add", [ pp_addr ])
+          | Ir.Pp_sign { src; slot_addr; _ } -> ("Pp_sign", [ src; slot_addr ])
+          | Ir.Pp_auth { src; slot_addr; _ } -> ("Pp_auth", [ src; slot_addr ])
+          | Ir.Pp_add_tbi { src; _ } -> ("Pp_add_tbi", [ src ]))
+    in
+    mark tag;
+    List.iter value vs
+  in
+  let modul (m : Ir.modul) =
+    List.iter
+      (fun (fn : Ir.func) ->
+        Array.iter
+          (fun (b : Ir.block) ->
+            List.iter instr b.instrs;
+            match b.term with
+            | Ir.Ret None -> mark "Ret"
+            | Ir.Ret (Some v) -> mark "Ret"; value v
+            | Ir.Br _ -> mark "Br"
+            | Ir.Condbr (c, _, _) -> mark "Condbr"; value c
+            | Ir.Unreachable -> mark "Unreachable")
+          fn.blocks)
+      m.m_funcs
+  in
+  List.iter
+    (fun (_, src) ->
+      modul (Pipeline.ir (golden_compiled src));
+      List.iter (fun mech -> modul (Pipeline.instrumented_ir (golden_inst mech src))) golden_mechs)
+    golden_kernels;
+  modul unreachable_modul;
+  Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare
+
+let all_constructors =
+  List.sort compare
+    [ "Alloca"; "Load"; "Store"; "Gep"; "Gepidx"; "Bitcast"; "Binop"; "Neg"; "Lognot";
+      "Bitnot"; "Cast_num"; "Call"; "Pac"; "Pp"; "Imm"; "Fimm"; "Reg"; "Global";
+      "Funcaddr"; "Str"; "Null"; "Ksign"; "Kauth"; "Kresign"; "Kstrip"; "Pp_add";
+      "Pp_sign"; "Pp_auth"; "Pp_add_tbi"; "Ret"; "Br"; "Condbr"; "Unreachable" ]
+
+let test_golden_constructors () =
+  let seen = golden_constructors () in
+  Alcotest.(check (list string)) "every constructor executed by the golden set" all_constructors seen
+
+let test_golden_outcomes () =
+  let actual = golden_rendering () in
+  let expected = In_channel.with_open_bin "golden/interp_outcomes.txt" In_channel.input_all in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "interp_outcomes.actual" (fun oc -> output_string oc actual);
+    let a = String.split_on_char '\n' actual and e = String.split_on_char '\n' expected in
+    let rec first i = function
+      | x :: xs, y :: ys -> if x = y then first (i + 1) (xs, ys) else (i, y, x)
+      | [], y :: _ -> (i, y, "<end>")
+      | x :: _, [] -> (i, "<end>", x)
+      | [], [] -> (i, "", "")
+    in
+    let line, want, got = first 1 (e, a) in
+    Alcotest.failf "golden line %d: expected %S, got %S (full rendering in interp_outcomes.actual)"
+      line want got
+  end
+
+(* Static facts (operand addresses, sizes, field offsets) are resolved
+   before a function first runs, but a fact that cannot be resolved must
+   fail only when its instruction executes, exactly as it would have
+   failed while interpreting: an unknown global and an unknown struct
+   field in never-called functions leave the run untouched. *)
+let test_lazy_resolution () =
+  let bad_global =
+    hand_func ~name:"bad_global" ~nregs:0
+      [| ([ ins (Ir.Store { src = Ir.Imm 1L; addr = Ir.Global "missing";
+                            ty = Rsti_minic.Ctype.Long; slot = Ir.Svar 0 }) ],
+          Ir.Ret None) |]
+  in
+  let bad_field =
+    hand_func ~name:"bad_field" ~nregs:1
+      [| ([ ins (Ir.Gep { dst = 0; base = Ir.Global "g"; sname = "node"; field = "nofield" }) ],
+          Ir.Ret (Some (Ir.Reg 0))) |]
+  in
+  let main calls =
+    hand_func ~nregs:0
+      [| (List.map (fun f -> ins (Ir.Call { dst = None; callee = Ir.Direct f; args = [];
+                                             arg_tys = []; ret_ty = Rsti_minic.Ctype.Void }))
+            calls,
+          Ir.Ret (Some (Ir.Imm 7L))) |]
+  in
+  let run calls =
+    Interp.run (Interp.create (hand_modul ~globals:[ "g" ] [ main calls; bad_global; bad_field ]))
+  in
+  (match (run []).status with
+  | Interp.Exited 7L -> ()
+  | _ -> Alcotest.fail "uncalled unresolvable code must not affect the run");
+  Alcotest.check_raises "unknown global raises on execution"
+    (Invalid_argument "Interp.global_addr: unknown global missing")
+    (fun () -> ignore (run [ "bad_global" ]));
+  Alcotest.check_raises "unknown field raises on execution" Not_found (fun () ->
+      ignore (run [ "bad_field" ]))
+
 let tests =
   [
     Alcotest.test_case "mem: u8 roundtrip" `Quick test_mem_u8_roundtrip;
@@ -414,9 +797,19 @@ let tests =
     Alcotest.test_case "interp: atoi/putchar" `Quick test_interp_atoi_putchar;
     Alcotest.test_case "interp: unknown function" `Quick test_interp_unknown_function_traps;
     Alcotest.test_case "interp: profiles" `Quick test_interp_profiles_populated;
+    Alcotest.test_case "libc: in-range lengths" `Quick test_libc_in_range;
     Alcotest.test_case "attack: hooks fire" `Quick test_attack_hooks_fire_in_order;
     Alcotest.test_case "attack: writes visible" `Quick test_attack_write_visible_to_program;
     Alcotest.test_case "attack: heap allocs" `Quick test_attack_heap_allocs_listed;
     Alcotest.test_case "cost: scales" `Quick test_cost_model_scales;
     Alcotest.test_case "cost: with_pac" `Quick test_cost_with_pac;
+    Alcotest.test_case "golden: constructor coverage" `Quick test_golden_constructors;
+    Alcotest.test_case "golden: interpreter outcomes" `Quick test_golden_outcomes;
+    Alcotest.test_case "interp: lazy resolution" `Quick test_lazy_resolution;
   ]
+  @ List.map
+      (fun (builtin, file) ->
+        Alcotest.test_case
+          (Printf.sprintf "libc: %s faults in %s" file builtin)
+          `Quick (test_libc_fault builtin file))
+      libc_fault_cases

@@ -98,6 +98,30 @@ let test_struct_layout () =
   checki "b after n" 16 off_b;
   checki "size rounded" 24 (Ctype.sizeof ~lookup (Ctype.Struct "s"))
 
+(* A hand-built lookup can describe what the type checker rejects: a
+   struct reaching itself by value. Every layout walk must stop with
+   the documented error instead of recursing forever. *)
+let test_struct_layout_cycle () =
+  let lookup = function
+    | "a" -> [ ("n", Ctype.Long); ("b", Ctype.Struct "b") ]
+    | "b" -> [ ("arr", Ctype.Array (Ctype.Struct "a", 2)) ]
+    | "ok" -> [ ("next", Ctype.Ptr (Ctype.Struct "ok")); ("b", Ctype.Struct "leaf") ]
+    | "leaf" -> [ ("x", Ctype.Long) ]
+    | _ -> raise Not_found
+  in
+  let cyclic name f =
+    Alcotest.check_raises name
+      (Invalid_argument "Ctype.sizeof: struct 'a' contains itself by value") (fun () ->
+        ignore (f ()))
+  in
+  cyclic "sizeof" (fun () -> Ctype.sizeof ~lookup (Ctype.Struct "a"));
+  cyclic "field_offset" (fun () -> fst (Ctype.field_offset ~lookup "a" "b"));
+  Alcotest.check_raises "through b"
+    (Invalid_argument "Ctype.sizeof: struct 'b' contains itself by value") (fun () ->
+      ignore (Ctype.sizeof ~lookup (Ctype.Array (Ctype.Struct "b", 1))));
+  checki "self pointer is fine" 16 (Ctype.sizeof ~lookup (Ctype.Struct "ok"));
+  checki "offset past a nested struct" 8 (fst (Ctype.field_offset ~lookup "ok" "b"))
+
 let test_ctype_compatible () =
   checkb "void* both ways" true (Ctype.compatible (Ctype.Ptr Ctype.Void) (Ctype.Ptr Ctype.Int));
   checkb "distinct struct ptrs" false
@@ -362,6 +386,7 @@ let tests =
     Alcotest.test_case "ctype: rendering" `Quick test_ctype_strings;
     Alcotest.test_case "ctype: predicates" `Quick test_ctype_predicates;
     Alcotest.test_case "ctype: sizeof" `Quick test_ctype_sizeof;
+    Alcotest.test_case "ctype: self-containing layout" `Quick test_struct_layout_cycle;
     Alcotest.test_case "ctype: struct layout" `Quick test_struct_layout;
     Alcotest.test_case "ctype: compatibility" `Quick test_ctype_compatible;
     Alcotest.test_case "parse: fn-ptr declarator" `Quick test_parse_function_pointer_declarator;
